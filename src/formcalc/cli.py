@@ -22,7 +22,6 @@ from . import meshes
 from .cochain import (
     Cochain,
     cochain_from_csv,
-    cochain_to_csv,
     integrate,
     stokes_pairing_check,
 )
@@ -31,7 +30,6 @@ from .forms import PolyForm, form_from_text, form_to_text
 from .grid import RectGrid, box_node_set
 from .maxwell import (
     EMState,
-    PointCharge,
     evolve_leapfrog,
     lorentz_force,
     solve_electrostatics,
@@ -45,18 +43,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
-
-BUILTIN_MESHES = {
-    "triangle": meshes.single_triangle,
-    "tetrahedron": meshes.solid_tetrahedron,
-    "disk": meshes.disk,
-    "annulus": meshes.annulus,
-    "sphere": meshes.sphere_octahedron,
-    "torus": meshes.torus,
-    "mobius": meshes.mobius_minimal,
-    "mobius-strip": meshes.mobius_strip,
-}
-
 
 def _outdir() -> str:
     path = os.environ.get("FORMCALC_OUTDIR", ".")
@@ -72,8 +58,8 @@ def _write_text(name: str, text: str) -> str:
 
 
 def _load_mesh(source: str) -> SimplicialComplex:
-    if source in BUILTIN_MESHES:
-        return BUILTIN_MESHES[source]()
+    if source in meshes.BUILDERS:
+        return meshes.BUILDERS[source]()
     with open(source) as f:
         return parse_mesh(f.read())
 
@@ -81,6 +67,14 @@ def _load_mesh(source: str) -> SimplicialComplex:
 def _load_cochain(path: str) -> Cochain:
     with open(path) as f:
         return cochain_from_csv(f.read())
+
+
+def _load_form(source: str) -> PolyForm:
+    """Form text from a file, or from stdin when ``source`` is ``-``."""
+    if source == "-":
+        return form_from_text(sys.stdin.read())
+    with open(source) as f:
+        return form_from_text(f.read())
 
 
 def _fmt(x) -> str:
@@ -135,12 +129,7 @@ def cmd_stokes_check(args) -> int:
 
 def cmd_hodge(args) -> int:
     g = parse_metric(args.metric)
-    if args.form_file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.form_file) as f:
-            text = f.read()
-    form = form_from_text(text)
+    form = _load_form(args.form_file)
     print(form_to_text(form.hodge(g)))
     return EXIT_OK
 
@@ -234,12 +223,7 @@ def cmd_maxwell_evolve(args) -> int:
 def cmd_lorentz(args) -> int:
     g = parse_metric(args.metric)
     velocity = tuple(Fraction(v) for v in args.velocity.split(","))
-    if args.field_file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.field_file) as f:
-            text = f.read()
-    field = form_from_text(text)
+    field = _load_form(args.field_file)
     result = lorentz_force(Fraction(args.charge), velocity, field, g)
     print("force covector:", result["covector"])
     print("force vector:", result["vector"])
@@ -424,6 +408,13 @@ def cmd_demo(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
+def _cell_count(text: str) -> int:
+    cells = int(text)
+    if cells < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 cell, got {cells}")
+    return cells
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formcalc",
@@ -434,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mesh-info", help="report cells, Euler characteristic, "
                                          "orientability")
     p.add_argument("mesh", help="mesh file or builtin name "
-                                f"({', '.join(BUILTIN_MESHES)})")
+                                f"({', '.join(meshes.BUILDERS)})")
     p.set_defaults(func=cmd_mesh_info)
 
     p = sub.add_parser("cohomology", help="Betti numbers and torsion table")
@@ -462,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxwell-static-e", help="grounded-box point-charge "
                                                 "electrostatics; Gauss check")
-    p.add_argument("--cells", type=int, default=32)
+    p.add_argument("--cells", type=_cell_count, default=32)
     p.add_argument("--charge", type=float, default=5.0)
     p.add_argument("--radii", default="3,6,10")
     p.add_argument("--tol", type=float, default=1e-10)
@@ -470,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxwell-static-b", help="straight-wire magnetostatics; "
                                                 "circulation check")
-    p.add_argument("--cells", type=int, default=64)
+    p.add_argument("--cells", type=_cell_count, default=64)
     p.add_argument("--current", type=float, default=2.5)
     p.add_argument("--radii", default="4,9")
     p.add_argument("--tol", type=float, default=1e-10)
@@ -478,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxwell-evolve", help="periodic plane-wave leapfrog "
                                               "evolution with diagnostics")
-    p.add_argument("--cells", type=int, default=64)
+    p.add_argument("--cells", type=_cell_count, default=64)
     p.add_argument("--steps", type=int, default=0,
                    help="override the one-period step count")
     p.set_defaults(func=cmd_maxwell_evolve)

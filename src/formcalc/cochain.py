@@ -10,17 +10,17 @@ global orientation; non-orientable complexes only ever see twisted data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .metric import Metric, _det
+from .exact import perm_sign
+from .metric import Metric
 from .parity import Parity
 from .poly import _as_fraction
-from .simplicial import Chain, SimplicialComplex, boundary
+from .simplicial import Chain, MeshFormatError, SimplicialComplex, boundary
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def cup_wedge(a: Cochain, b: Cochain, complex: SimplicialComplex) -> Cochain:
     out = []
     for s in complex.simplices[p + q]:
         srt = tuple(sorted(s))
-        sigma = _order_sign(s)
+        sigma = perm_sign(s)
         front_a = complex.simplex_index(srt[:p + 1], p)
         back_a = complex.simplex_index(srt[p:], q)
         front_b = complex.simplex_index(srt[:q + 1], q)
@@ -160,16 +160,6 @@ def cup_wedge(a: Cochain, b: Cochain, complex: SimplicialComplex) -> Cochain:
         ba = b.values[front_b] * a.values[back_b]
         out.append(sigma * half * (ab + sgn * ba))
     return Cochain(p + q, tuple(out), parity, mode)
-
-
-def _order_sign(s: Sequence[int]) -> int:
-    sign = 1
-    s = list(s)
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if s[i] > s[j]:
-                sign = -sign
-    return sign
 
 
 def twist_cochain(omega: Cochain, complex: SimplicialComplex,
@@ -362,18 +352,26 @@ def cochain_to_csv(omega: Cochain) -> str:
 
 
 def cochain_from_csv(text: str) -> Cochain:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing cochain header line '# degree=.. parity=.. mode=..'")
-    meta = dict(tok.split("=", 1) for tok in lines[0][1:].split())
-    degree = int(meta["degree"])
-    parity = Parity(meta["parity"])
-    mode = meta.get("mode", "exact")
-    rows = {}
-    for ln in lines[1:]:
-        if ln.lower().startswith("simplex_index"):
-            continue
-        idx_text, _, val_text = ln.partition(",")
-        rows[int(idx_text)] = float(val_text) if mode == "float" else Fraction(val_text)
+    """Parse the ``cochain_to_csv`` format; malformed text raises
+    MeshFormatError with the offending line."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    lineno, line = lines[0] if lines else (1, "")
+    try:
+        if not line.startswith("#"):
+            raise ValueError("missing header line '# degree=.. parity=.. mode=..'")
+        meta = dict(tok.split("=", 1) for tok in line[1:].split())
+        mode = meta.get("mode", "exact")
+        if "degree" not in meta or "parity" not in meta or mode not in ("exact", "float"):
+            raise ValueError("the header needs degree=, parity= and mode exact or float")
+        degree, parity = int(meta["degree"]), Parity(meta["parity"])
+        value = float if mode == "float" else Fraction
+        rows = {}
+        for lineno, line in lines[1:]:
+            if not line.lower().startswith("simplex_index"):
+                idx_text, _, val_text = line.partition(",")
+                rows[int(idx_text)] = value(val_text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MeshFormatError(lineno, f"cannot parse {line!r}: {exc}") from exc
     vals = [rows.get(i, 0) for i in range(max(rows) + 1 if rows else 0)]
     return Cochain(degree, tuple(vals), parity, mode)

@@ -7,10 +7,12 @@ exact rational elimination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cochain import Cochain, coboundary
+from .exact import solve
 from .parity import Parity
 from .simplicial import SimplicialComplex
 
@@ -130,69 +132,29 @@ def is_exact(omega: Cochain, complex: SimplicialComplex) -> dict:
     Returns {'exact': bool, 'primitive': Cochain or None}."""
     p = omega.degree
     if p == 0:
-        zero = all(v == 0 for v in omega.values)
-        prim = None
-        return {"exact": zero, "primitive": prim}
-    # coboundary matrix from degree p-1 to p is boundary_matrix(p) transposed
-    B = complex.boundary_matrix(p)
-    nrows = complex.num_simplices(p)
-    ncols = complex.num_simplices(p - 1)
-    dense = B.toarray()
-    # coboundary matrix D is the transpose of the boundary matrix
-    D = [[Fraction(int(dense[j][i])) for j in range(ncols)] for i in range(nrows)]
-    rhs = [Fraction(v) for v in omega.values]
-    sol = _solve_exact(D, rhs)
+        return {"exact": omega.is_zero(), "primitive": None}
+    # the coboundary matrix from degree p-1 to p is boundary_matrix(p) transposed
+    D = complex.boundary_matrix(p).T.toarray().tolist()
+    sol = solve(D, [Fraction(v) for v in omega.values])
     if sol is None:
         return {"exact": False, "primitive": None}
     prim = Cochain(p - 1, tuple(sol), omega.parity, "exact")
     return {"exact": True, "primitive": prim}
 
 
-def _solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """One solution of Ax = b over Q, or None if inconsistent."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M = [A[i][:] + [b[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = Fraction(1) / M[r][c]
-        M[r] = [v * inv for v in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * p for a, p in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if M[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = M[i][cols]
-    return x
-
-
 def winding_cochain(complex: SimplicialComplex) -> Cochain:
     """Angle-increment 1-cochain on a planar complex around the origin.
 
-    Closed everywhere; exact only when no cycle encircles the origin."""
-    import math
+    Each vertex angle is rounded to a rational number of turns once; an
+    edge carries the difference of its end angles shifted by a whole turn
+    into [-1/2, 1/2).  Every triangle sum is then an exact integer, 0 on
+    each triangle that does not contain the origin: the cochain is closed
+    when the origin lies in a hole, and exact only when no cycle encircles
+    the origin."""
+    turns = [Fraction(math.atan2(v[1], v[0]) / (2 * math.pi)).limit_denominator(10**6)
+             for v in complex.vertices]
     vals = []
     for (a, b) in complex.simplices[1]:
-        xa, ya = complex.vertices[a][0], complex.vertices[a][1]
-        xb, yb = complex.vertices[b][0], complex.vertices[b][1]
-        da = math.atan2(yb, xb) - math.atan2(ya, xa)
-        while da > math.pi:
-            da -= 2 * math.pi
-        while da <= -math.pi:
-            da += 2 * math.pi
-        frac = Fraction(da / (2 * math.pi)).limit_denominator(10**6)
-        vals.append(frac)
+        d = turns[b] - turns[a]
+        vals.append(d - math.floor(d + Fraction(1, 2)))
     return Cochain(1, tuple(vals), Parity.STRAIGHT, "exact")

@@ -9,42 +9,14 @@ double Hodge dual) hold exactly, not to tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
+from .exact import det, perm_sign
 from .metric import Metric, metric_dual_vector
 from .parity import Parity
 from .poly import Poly, _as_fraction, parse_poly
-
-
-def _merge_sign(a: tuple, b: tuple) -> tuple[int, tuple]:
-    """Sign and sorted index set for dx^a wedge dx^b; sign 0 on repeats."""
-    merged = list(a)
-    sign = 1
-    for x in b:
-        pos = len(merged)
-        for i, y in enumerate(merged):
-            if x == y:
-                return 0, ()
-            if x < y:
-                pos = i
-                break
-        sign *= (-1) ** (len(merged) - pos)
-        merged.insert(pos, x)
-    return sign, tuple(merged)
-
-
-def perm_sign(seq: Sequence[int]) -> int:
-    """Sign of the permutation sorting ``seq``; 0 if entries repeat."""
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] == seq[j]:
-                return 0
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+from .simplicial import MeshFormatError
 
 
 def _coerce_poly(nvars: int, value) -> Poly:
@@ -150,9 +122,10 @@ class PolyForm:
         out: dict = {}
         for ia, ca in self.terms.items():
             for ib, cb in other.terms.items():
-                sign, idx = _merge_sign(ia, ib)
+                sign = perm_sign(ia + ib)
                 if sign == 0:
                     continue
+                idx = tuple(sorted(ia + ib))
                 out[idx] = out.get(idx, Poly.zero(n)) + sign * ca * cb
         return PolyForm(n, p, out, parity)
 
@@ -167,9 +140,10 @@ class PolyForm:
                 dc = coeff.diff(i)
                 if dc.is_zero():
                     continue
-                sign, merged = _merge_sign((i,), idx)
+                sign = perm_sign((i,) + idx)
                 if sign == 0:
                     continue
+                merged = tuple(sorted((i,) + idx))
                 out[merged] = out.get(merged, Poly.zero(n)) + sign * dc
         return PolyForm(n, self.degree + 1, out, self.parity)
 
@@ -226,12 +200,11 @@ class PolyForm:
         scale = g.volume_scale()
         full = tuple(range(n))
         out: dict = {}
-        from .metric import _det
-        ksets = list(_ksubsets(n, p))
+        ksets = list(combinations(full, p))
         for idx, coeff in self.terms.items():
             for K in ksets:
                 sub = [[ginv[i][j] for j in K] for i in idx]
-                d = _det(sub) if sub else Fraction(1)
+                d = det(sub)
                 if d == 0:
                     continue
                 comp = tuple(i for i in full if i not in K)
@@ -284,11 +257,6 @@ class PolyForm:
 
     def __repr__(self) -> str:
         return f"PolyForm({self})"
-
-
-def _ksubsets(n: int, k: int):
-    from itertools import combinations
-    return combinations(range(n), k)
 
 
 @dataclass(frozen=True)
@@ -386,28 +354,25 @@ def form_to_text(w: PolyForm) -> str:
 
 def form_from_text(text: str) -> PolyForm:
     """Parse the ``form_to_text`` format:
-    ``n=3 p=2 parity=twisted; [0,1]: 3/2*x0^2; [1,2]: 1``."""
+    ``n=3 p=2 parity=twisted; [0,1]: 3/2*x0^2; [1,2]: 1``.
+
+    Malformed text raises MeshFormatError."""
     parts = [p.strip() for p in text.strip().split(";")]
-    head = parts[0].split()
-    meta = {}
-    for token in head:
-        k, _, v = token.partition("=")
-        meta[k] = v
+    meta = dict(token.partition("=")[::2] for token in parts[0].split())
     try:
-        n = int(meta["n"])
-        p = int(meta["p"])
+        if "n" not in meta or "p" not in meta:
+            raise ValueError(f"header {parts[0]!r} needs n= and p=")
+        n, p = int(meta["n"]), int(meta["p"])
         parity = Parity(meta.get("parity", "straight"))
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad form header {parts[0]!r}: {exc}") from exc
-    terms = {}
-    for chunk in parts[1:]:
-        if not chunk:
-            continue
-        idx_text, _, poly_text = chunk.partition(":")
-        idx_text = idx_text.strip()
-        if not (idx_text.startswith("[") and idx_text.endswith("]")):
-            raise ValueError(f"bad term {chunk!r}")
-        inner = idx_text[1:-1].strip()
-        idx = tuple(int(t) for t in inner.split(",")) if inner else ()
-        terms[idx] = parse_poly(poly_text.strip(), n)
-    return PolyForm(n, p, terms, parity)
+        terms = {}
+        for chunk in filter(None, parts[1:]):
+            idx_text, _, poly_text = chunk.partition(":")
+            idx_text = idx_text.strip()
+            if not (idx_text.startswith("[") and idx_text.endswith("]")):
+                raise ValueError(f"bad term {chunk!r}")
+            inner = idx_text[1:-1].strip()
+            idx = tuple(int(t) for t in inner.split(",")) if inner else ()
+            terms[idx] = parse_poly(poly_text.strip(), n)
+        return PolyForm(n, p, terms, parity)
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
+        raise MeshFormatError(None, f"bad form text: {exc}") from exc

@@ -16,7 +16,6 @@ from scipy import sparse
 from scipy.sparse.linalg import cg
 
 from .metric import Metric
-from .parity import Parity
 
 
 @dataclass(frozen=True)
@@ -220,17 +219,3 @@ def surface_flux(grid: RectGrid, flux_edges: np.ndarray, inside: np.ndarray,
         elif h_in and not t_in:
             total -= flux_edges[e]
     return float(total)
-
-
-def grid_hodge_cochain_2d(grid: RectGrid, values_by_direction: dict,
-                          g: Metric | None = None) -> dict:
-    """Diagonal Hodge of a 1-cochain on a 2-dim grid, kept per direction.
-
-    Each direction-d edge value maps onto its transverse dual edge with
-    the dual/primal ratio and the metric sign; parity flips implicitly."""
-    if grid.dim != 2:
-        raise ValueError("this helper is for 2-dim grids")
-    out = {}
-    for d, vals in values_by_direction.items():
-        out[1 - d] = np.asarray(vals, dtype=float) * grid.hodge_factor([d], g)
-    return out

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .exact import det, inertia, inverse
 from .poly import _as_fraction
 
 
@@ -24,46 +25,6 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
-
-
-def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    m = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
 
 
 class CausalClass(enum.Enum):
@@ -95,7 +56,7 @@ class Metric:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("metric matrix must be symmetric")
         object.__setattr__(self, "matrix", rows)
-        sig = _inertia_signs(rows)
+        sig = inertia(rows)
         if any(s == 0 for s in sig):
             raise ValueError("metric matrix is singular")
         object.__setattr__(self, "signature", tuple(sig))
@@ -131,10 +92,10 @@ class Metric:
         return sorted(self.signature)[0] < 0 and sum(1 for s in self.signature if s < 0) == 1
 
     def det(self) -> Fraction:
-        return _det([list(row) for row in self.matrix])
+        return det(self.matrix)
 
     def inverse_matrix(self) -> list[list[Fraction]]:
-        return _inverse([list(row) for row in self.matrix])
+        return inverse(self.matrix)
 
     def inner(self, u: Sequence, v: Sequence) -> Fraction:
         u = [_as_fraction(x) for x in u]
@@ -156,50 +117,6 @@ class Metric:
                for j in range(self.dim) if i != j):
             return "diag(" + ",".join(str(self.matrix[i][i]) for i in range(self.dim)) + ")"
         return ";".join(" ".join(str(v) for v in row) for row in self.matrix)
-
-
-def _inertia_signs(rows) -> list[int]:
-    """Signs of eigenvalues via symmetric Gaussian elimination (Sylvester)."""
-    n = len(rows)
-    m = [list(row) for row in rows]
-    signs = []
-    idx = list(range(n))
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][r] != 0), None)
-        if pivot is None:
-            off = next(((r, c) for r in range(k, n) for c in range(r + 1, n)
-                        if m[r][c] != 0), None)
-            if off is None:
-                signs.extend([0] * (n - k))
-                break
-            r, c = off
-            # congruence: add row/col c onto r to create a diagonal pivot
-            for j in range(n):
-                m[r][j] += m[c][j]
-            for i in range(n):
-                m[i][r] += m[i][c]
-            pivot = r
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            for row in m:
-                row[k], row[pivot] = row[pivot], row[k]
-        p = m[k][k]
-        signs.append(1 if p > 0 else -1)
-        for r in range(k + 1, n):
-            f = m[r][k] / p
-            if f == 0:
-                continue
-            for c in range(k, n):
-                m[r][c] -= f * m[k][c]
-            # keep symmetry for the congruence transform
-        for c in range(k + 1, n):
-            f = m[k][c] / p
-            if f == 0:
-                continue
-            for r in range(k, n):
-                m[r][c] -= f * m[r][k]
-        _ = idx
-    return signs
 
 
 def norm_squared(v: Sequence, g: Metric) -> Fraction:
@@ -285,7 +202,7 @@ def form_inner(a_terms: dict, b_terms: dict, g: Metric) -> Fraction:
             if len(idx_a) != len(idx_b):
                 raise ValueError("degree mismatch")
             sub = [[ginv[i][j] for j in idx_b] for i in idx_a]
-            total += ca * cb * (_det(sub) if sub else Fraction(1))
+            total += ca * cb * det(sub)
     return total
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .metric import _det
+from .exact import det, perm_sign, rank
 from .poly import _as_fraction
-from .simplicial import SimplicialComplex, _perm_sign
+from .simplicial import SimplicialComplex
 
 
 class FrameKind(enum.Enum):
@@ -63,7 +63,7 @@ class OrientationFrame:
                 raise ValueError("frame vectors disagree on dimension")
             if len(vecs) > n:
                 raise ValueError("more vectors than the ambient dimension")
-            if _gram_rank(vecs) != len(vecs):
+            if rank(vecs) != len(vecs):
                 raise ValueError("frame vectors must be linearly independent")
         object.__setattr__(self, "vectors", vecs)
 
@@ -79,32 +79,10 @@ class OrientationFrame:
         """Determinant relative to the standard basis (full frames only)."""
         if self.size != self.ambient_dim:
             raise ValueError("determinant needs a full frame")
-        return _det([list(v) for v in self.vectors])
+        return det(self.vectors)
 
     def sign(self) -> RelativeSign:
         return RelativeSign.of(self.determinant())
-
-
-def _gram_rank(vectors) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
 
 
 def concat(first: OrientationFrame, second: OrientationFrame) -> OrientationFrame:
@@ -159,7 +137,7 @@ def induced_boundary_sign(cell: Sequence[int], facet: Sequence[int],
     omitted = missing.pop()
     j = cell.index(omitted)
     reduced = cell[:j] + cell[j + 1:]
-    align = _perm_sign([reduced.index(v) for v in facet])
+    align = perm_sign([reduced.index(v) for v in facet])
     if align == 0:
         raise ValueError("facet repeats vertices")
     return RelativeSign.of((-1) ** j * align)

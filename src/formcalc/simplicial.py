@@ -14,28 +14,18 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
+from .exact import perm_sign
 from .parity import Parity
 from .poly import _as_fraction
 
 
 class MeshFormatError(ValueError):
-    """Malformed mesh text; carries the offending line number."""
+    """Malformed input text: a mesh, a cochain CSV or a form.  Carries the
+    offending line number, or None when the error belongs to no line."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-def _perm_sign(seq: Sequence[int]) -> int:
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] == seq[j]:
-                return 0
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
 
 
 class SimplicialComplex:
@@ -62,7 +52,7 @@ class SimplicialComplex:
                 for j in range(len(s)):
                     face = s[:j] + s[j + 1:]
                     row = self._index[k - 1][tuple(sorted(face))]
-                    sign = (-1) ** j * _perm_sign(face)
+                    sign = (-1) ** j * perm_sign(face)
                     entries.append((row, sign))
                 cols.append(entries)
             self.incidence_entries.append(cols)
@@ -293,7 +283,7 @@ def parse_mesh(text: str) -> SimplicialComplex:
     try:
         complex = build_complex(vertices, tops)
     except ValueError as exc:
-        raise MeshFormatError(0, str(exc)) from exc
+        raise MeshFormatError(None, str(exc)) from exc
     if complex.dim != dim:
         raise MeshFormatError(1, f"header says dim {dim} but simplices give {complex.dim}")
     return complex

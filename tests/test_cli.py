@@ -114,3 +114,27 @@ def test_maxwell_evolve_writes_diagnostics(outdir, capsys):
     text = (outdir / "evolution_diagnostics.csv").read_text()
     assert text.startswith("step,time,energy,max_divB")
     assert len(text.strip().splitlines()) == 9
+
+
+@pytest.mark.parametrize("command, text", [
+    ("integrate mobius", "simplex_index,value\n0,1\n"),
+    ("integrate mobius", "# parity=straight mode=exact\nsimplex_index,value\n"),
+    ("integrate mobius", "# degree=2 parity=sideways mode=exact\n"),
+    ("integrate mobius", "# degree=2 parity=twisted mode=exact\n0,one half\n"),
+    ("hodge", "n=four p=2; [0,1]: 1\n"),
+], ids=["cochain-no-header", "cochain-no-degree", "cochain-unknown-parity",
+        "cochain-not-rational", "form-bad-header"])
+def test_malformed_input_is_parse_error(tmp_path, capsys, command, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main(command.split() + [str(path)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error:")
+
+
+@pytest.mark.parametrize("command", ["maxwell-evolve", "maxwell-static-e",
+                                     "maxwell-static-b"])
+def test_nonpositive_cells_is_usage_error(outdir, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--cells", "0"])
+    assert info.value.code == 2

@@ -1,5 +1,6 @@
 """Betti numbers, torsion, closed-versus-exact classification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from formcalc.cohomology import (
     winding_cochain,
 )
 from formcalc.parity import Parity
-from formcalc.simplicial import Chain
+from formcalc.simplicial import Chain, build_complex
 
 
 def test_smith_normal_form_basics():
@@ -62,9 +63,22 @@ def test_betti_invariant_under_refinement():
 
 def test_winding_cochain_closed_not_exact():
     cx = meshes.annulus()
-    w = winding_cochain(cx)
-    assert is_closed(w, cx)
-    assert not is_exact(w, cx)["exact"]
+    for _ in range(3):  # the annulus, then refined once and twice
+        w = winding_cochain(cx)
+        assert is_closed(w, cx)
+        assert not is_exact(w, cx)["exact"]
+        cx = meshes.uniform_refine(cx)
+
+
+def test_rp2_torsion():
+    # minimal six-vertex real projective plane
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                 (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    verts = [(math.cos(1.1 * i), math.sin(1.1 * i), 0.1 * i) for i in range(6)]
+    report = betti_numbers(build_complex(verts, triangles))
+    assert report.betti == (1, 0, 0)
+    assert report.torsion == ((), (2,), ())
+    assert report.orientable is False
 
 
 def test_winding_integrals():
