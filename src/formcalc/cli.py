@@ -64,9 +64,15 @@ def _load_mesh(source: str) -> SimplicialComplex:
         return parse_mesh(f.read())
 
 
-def _load_cochain(path: str) -> Cochain:
+def _load_cochain(path: str, cx: SimplicialComplex) -> Cochain:
+    """A cochain CSV that gives one value per cell of ``cx`` in its degree."""
     with open(path) as f:
-        return cochain_from_csv(f.read())
+        omega = cochain_from_csv(f.read())
+    cells = cx.num_simplices(omega.degree)
+    if len(omega.values) != cells:
+        raise MeshFormatError(None, f"cochain has {len(omega.values)} values, the "
+                                    f"mesh has {cells} cells of degree {omega.degree}")
+    return omega
 
 
 def _load_form(source: str) -> PolyForm:
@@ -105,7 +111,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_integrate(args) -> int:
     cx = _load_mesh(args.mesh)
-    omega = _load_cochain(args.cochain)
+    omega = _load_cochain(args.cochain, cx)
     parity = Parity(args.parity) if args.parity else omega.parity
     try:
         chain = cx.fundamental_chain(parity)
@@ -119,7 +125,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_stokes_check(args) -> int:
     cx = _load_mesh(args.mesh)
-    omega = _load_cochain(args.cochain)
+    omega = _load_cochain(args.cochain, cx)
     chain = cx.fundamental_chain(omega.parity)
     lhs, rhs = stokes_pairing_check(omega, chain, cx)
     print("<d omega, cell> =", _fmt(lhs))
@@ -140,10 +146,9 @@ def cmd_maxwell_static_e(args) -> int:
     rho = np.zeros(grid.node_shape)
     rho[tuple(s // 2 for s in grid.node_shape)] = args.charge
     result = solve_electrostatics(grid, rho.ravel(), tol=args.tol)
-    radii = [int(r) for r in args.radii.split(",")]
     rows = ["radius,flux"]
     status = EXIT_OK
-    for r in radii:
+    for r in args.radii:
         flux = result.flux_through_box(r)
         rows.append(f"{r},{flux!r}")
         rel = abs(flux - args.charge) / abs(args.charge)
@@ -161,10 +166,9 @@ def cmd_maxwell_static_b(args) -> int:
     j = np.zeros(grid.node_shape)
     j[tuple(s // 2 for s in grid.node_shape)] = args.current
     result = solve_magnetostatics(grid, j.ravel(), tol=args.tol)
-    radii = [int(r) for r in args.radii.split(",")]
     rows = ["radius,circulation"]
     status = EXIT_OK
-    for r in radii:
+    for r in args.radii:
         circ = result.circulation_around(box_node_set(grid, r))
         rows.append(f"{r},{circ!r}")
         rel = abs(circ - args.current) / abs(args.current)
@@ -408,11 +412,19 @@ def cmd_demo(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
-def _cell_count(text: str) -> int:
-    cells = int(text)
-    if cells < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 cell, got {cells}")
-    return cells
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"need at least {minimum}, got {value}")
+        return value
+    return integer
+
+
+def _radii(text: str) -> list[int]:
+    """argparse type: comma-separated box radii in grid steps."""
+    return [_at_least(0)(r) for r in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,25 +465,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxwell-static-e", help="grounded-box point-charge "
                                                 "electrostatics; Gauss check")
-    p.add_argument("--cells", type=_cell_count, default=32)
+    p.add_argument("--cells", type=_at_least(1), default=32)
     p.add_argument("--charge", type=float, default=5.0)
-    p.add_argument("--radii", default="3,6,10")
+    p.add_argument("--radii", type=_radii, default="3,6,10")
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_maxwell_static_e)
 
     p = sub.add_parser("maxwell-static-b", help="straight-wire magnetostatics; "
                                                 "circulation check")
-    p.add_argument("--cells", type=_cell_count, default=64)
+    p.add_argument("--cells", type=_at_least(1), default=64)
     p.add_argument("--current", type=float, default=2.5)
-    p.add_argument("--radii", default="4,9")
+    p.add_argument("--radii", type=_radii, default="4,9")
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_maxwell_static_b)
 
     p = sub.add_parser("maxwell-evolve", help="periodic plane-wave leapfrog "
                                               "evolution with diagnostics")
-    p.add_argument("--cells", type=_cell_count, default=64)
-    p.add_argument("--steps", type=int, default=0,
-                   help="override the one-period step count")
+    p.add_argument("--cells", type=_at_least(1), default=64)
+    p.add_argument("--steps", type=_at_least(0), default=0,
+                   help="override the one-period step count (0 keeps it)")
     p.set_defaults(func=cmd_maxwell_evolve)
 
     p = sub.add_parser("lorentz", help="Lorentz force covector/vector from a "

@@ -370,7 +370,10 @@ def cochain_from_csv(text: str) -> Cochain:
         for lineno, line in lines[1:]:
             if not line.lower().startswith("simplex_index"):
                 idx_text, _, val_text = line.partition(",")
-                rows[int(idx_text)] = value(val_text)
+                idx = int(idx_text)
+                if idx < 0:
+                    raise ValueError("simplex_index must not be negative")
+                rows[idx] = value(val_text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MeshFormatError(lineno, f"cannot parse {line!r}: {exc}") from exc
     vals = [rows.get(i, 0) for i in range(max(rows) + 1 if rows else 0)]

@@ -1,26 +1,30 @@
 """Rectilinear (tensor-product) grids: diagonal Hodge and statics solves.
 
 Grids keep their native rectilinear structure instead of being split into
-simplices, which keeps the diagonal Hodge star well-defined (including
-Lorentzian diagonal metrics, where circumcentric simplicial duals fail).
+simplices, which keeps the diagonal Hodge star well-defined.  Every
+operator is assembled axis by axis, as on the tensor-product cube complex:
+d0 is the stack over axes of identities Kronecker a 1-D difference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .metric import Metric
-
 
 @dataclass(frozen=True)
 class RectGrid:
-    """Axis-aligned grid given by cell counts and spacings per axis."""
+    """Axis-aligned grid given by cell counts and spacings per axis.
+
+    Nodes are numbered in C order over ``node_shape``.  Edges come in one
+    block per axis, axes in order; the block of axis ``d`` holds the edges
+    along ``d`` in C order over their tail nodes, an array of shape
+    ``edge_shape(d)``."""
 
     shape: tuple  # cells per axis
     spacing: tuple
@@ -44,109 +48,68 @@ class RectGrid:
     def node_count(self) -> int:
         return int(np.prod(self.node_shape))
 
-    def node_index(self, coords: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(coords), self.node_shape))
+    def edge_shape(self, d: int) -> tuple:
+        """Shape of the tail nodes of the edges along axis ``d``."""
+        return tuple(n - (a == d) for a, n in enumerate(self.node_shape))
 
-    def hodge_sign(self, directions: Sequence[int], g: Metric | None = None) -> int:
-        """Signature sign of the diagonal Hodge for a cell spanning the
-        given axes: product of the metric signs over those axes."""
-        if g is None:
-            return 1
-        if g.dim != self.dim:
-            raise ValueError("metric dimension mismatch")
-        for i in range(g.dim):
-            for j in range(g.dim):
-                if i != j and g.matrix[i][j] != 0:
-                    raise ValueError("grid Hodge needs a diagonal metric")
-        sign = 1
-        for d in directions:
-            sign *= 1 if g.matrix[d][d] > 0 else -1
-        return sign
-
-    def hodge_factor(self, directions: Sequence[int], g: Metric | None = None) -> float:
-        """dual volume / primal volume for a unit cell spanning ``directions``,
-        with metric scale factors and the signature sign."""
-        dirs = set(directions)
-        primal = 1.0
-        dual = 1.0
-        for d in range(self.dim):
-            scale = 1.0 if g is None else math.sqrt(abs(float(g.matrix[d][d])))
-            if d in dirs:
-                primal *= self.spacing[d] * scale
-            else:
-                dual *= self.spacing[d] * scale
-        return (dual / primal) * self.hodge_sign(directions, g)
+    def edge_blocks(self, edge_values: np.ndarray) -> list[np.ndarray]:
+        """Split a per-edge array into one array of shape ``edge_shape(d)``
+        per axis ``d``."""
+        shapes = [self.edge_shape(d) for d in range(self.dim)]
+        ends = np.cumsum([math.prod(s) for s in shapes])[:-1]
+        return [block.reshape(s)
+                for block, s in zip(np.split(np.asarray(edge_values), ends), shapes)]
 
 
-# -- edge enumeration on non-periodic grids ----------------------------------
+def _along(axis: int, sl, ndim: int) -> tuple:
+    """Index that applies ``sl`` on ``axis`` and takes everything elsewhere."""
+    index = [slice(None)] * ndim
+    index[axis] = sl
+    return tuple(index)
 
-def _edges(grid: RectGrid):
-    """Yield (direction, tail-node multi-index) for every edge."""
-    ns = grid.node_shape
-    for d in range(grid.dim):
-        span = list(ns)
-        span[d] -= 1
-        for idx in np.ndindex(*span):
-            yield d, idx
+
+def _node_box(per_axis: list[np.ndarray]) -> np.ndarray:
+    """Flat mask of the nodes whose index along every axis ``d`` is selected
+    by the boolean array ``per_axis[d]``."""
+    axes = np.meshgrid(*per_axis, indexing="ij", sparse=True)
+    return reduce(np.logical_and, axes).ravel()
 
 
 def gradient_matrix(grid: RectGrid) -> sparse.csr_matrix:
     """Node-to-edge difference operator (the degree-0 coboundary)."""
-    rows, cols, vals = [], [], []
-    for e, (d, tail) in enumerate(_edges(grid)):
-        head = list(tail)
-        head[d] += 1
-        rows.extend([e, e])
-        cols.extend([grid.node_index(tail), grid.node_index(head)])
-        vals.extend([-1.0, 1.0])
-    nedges = len(rows) // 2
-    return sparse.csr_matrix((vals, (rows, cols)),
-                             shape=(nedges, grid.node_count()))
+    blocks = []
+    for d, n in enumerate(grid.node_shape):
+        diff = sparse.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+        factors = [diff if a == d else sparse.identity(m)
+                   for a, m in enumerate(grid.node_shape)]
+        blocks.append(reduce(sparse.kron, factors))
+    return sparse.vstack(blocks, format="csr")
 
 
 def edge_hodge_diagonal(grid: RectGrid, coeff_per_cell: np.ndarray | float,
-                        g: Metric | None = None) -> np.ndarray:
+                        ) -> np.ndarray:
     """Diagonal Hodge weights for edges: material coefficient (averaged
     from adjacent cells) times dual-area / primal-length."""
+    cells = np.asarray(coeff_per_cell, dtype=float)
+    if cells.ndim == 0:
+        cells = np.full(grid.shape, cells)
+    elif cells.shape != grid.shape:
+        raise ValueError("per-cell coefficient array must match grid shape")
+    volume = math.prod(grid.spacing)
     weights = []
-    cells = None
-    if not np.isscalar(coeff_per_cell):
-        cells = np.asarray(coeff_per_cell, dtype=float)
-        if cells.shape != grid.shape:
-            raise ValueError("per-cell coefficient array must match grid shape")
-    for d, tail in _edges(grid):
-        factor = grid.hodge_factor([d], g)
-        if cells is None:
-            coeff = float(coeff_per_cell)
-        else:
-            # average over the <= 2^(dim-1) cells around the edge
-            neighbors = []
-            other_axes = [a for a in range(grid.dim) if a != d]
-            from itertools import product
-            for offs in product([-1, 0], repeat=len(other_axes)):
-                c = list(tail)
-                ok = True
-                for a, o in zip(other_axes, offs):
-                    c[a] += o
-                    if not 0 <= c[a] < grid.shape[a]:
-                        ok = False
-                        break
-                if ok and 0 <= c[d] < grid.shape[d]:
-                    neighbors.append(cells[tuple(c)])
-            coeff = float(np.mean(neighbors))
-        weights.append(coeff * factor)
-    return np.asarray(weights)
-
-
-def _boundary_nodes(grid: RectGrid) -> np.ndarray:
-    mask = np.zeros(grid.node_shape, dtype=bool)
-    for d in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[d] = 0
-        mask[tuple(sl)] = True
-        sl[d] = -1
-        mask[tuple(sl)] = True
-    return mask.ravel()
+    for d, h in enumerate(grid.spacing):
+        # An edge along d touches the cells on either side of it along every
+        # other axis; zero padding drops the ones beyond the boundary.
+        pad = [(0, 0) if a == d else (1, 1) for a in range(grid.dim)]
+        total = np.pad(cells, pad)
+        count = np.pad(np.ones(grid.shape), pad)
+        for a in range(grid.dim):
+            if a != d:
+                lo = _along(a, slice(None, -1), grid.dim)
+                hi = _along(a, slice(1, None), grid.dim)
+                total, count = total[lo] + total[hi], count[lo] + count[hi]
+        weights.append((volume / h**2 * total / count).ravel())
+    return np.concatenate(weights)
 
 
 @dataclass
@@ -155,13 +118,12 @@ class StaticsSolution:
     field_edges: np.ndarray      # E (or dA) per edge, primal 1-cochain
     flux_edges: np.ndarray       # D (or H) per edge's dual cell, twisted
     residual: float
-    iterations: int
+    iterations: int              # conjugate gradient iterations
 
 
 def solve_poisson_grounded(grid: RectGrid, source_per_node: np.ndarray,
                            coeff_per_cell: np.ndarray | float,
-                           g: Metric | None = None, tol: float = 1e-10,
-                           ) -> StaticsSolution:
+                           tol: float = 1e-10) -> StaticsSolution:
     """Solve d(coeff * hodge(d phi)) = -source with phi = 0 on the boundary.
 
     Returns the potential, the primal 1-cochain -d(phi), and its dual-cell
@@ -170,15 +132,20 @@ def solve_poisson_grounded(grid: RectGrid, source_per_node: np.ndarray,
     if src.size != grid.node_count():
         raise ValueError("source must give one value per node")
     G = gradient_matrix(grid)
-    H = sparse.diags(edge_hodge_diagonal(grid, coeff_per_cell, g))
+    H = sparse.diags(edge_hodge_diagonal(grid, coeff_per_cell))
     L = (G.T @ H @ G).tocsr()
-    fixed = _boundary_nodes(grid)
-    free = ~fixed
+    free = _node_box([np.arange(n) % (n - 1) != 0 for n in grid.node_shape])
     if not free.any():
         raise ValueError("grid too small: every node is on the boundary")
     Lff = L[free][:, free]
     rhs = src[free]
-    x, info = cg(Lff, rhs, rtol=tol, atol=0.0, maxiter=20000)
+    iterations = 0
+
+    def count(_xk):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = cg(Lff, rhs, rtol=tol, atol=0.0, maxiter=20000, callback=count)
     if info != 0:
         raise RuntimeError(f"conjugate gradient did not converge (info={info}); "
                            f"residual {np.linalg.norm(Lff @ x - rhs):.3e}")
@@ -187,35 +154,22 @@ def solve_poisson_grounded(grid: RectGrid, source_per_node: np.ndarray,
     field = -(G @ phi)
     flux = H.diagonal() * field
     res = float(np.linalg.norm(Lff @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    return StaticsSolution(phi, field, flux, res, -1)
+    return StaticsSolution(phi, field, flux, res, iterations)
 
 
 def box_node_set(grid: RectGrid, radius: int) -> np.ndarray:
     """Boolean mask of nodes within ``radius`` grid steps of the center."""
-    ns = grid.node_shape
-    center = tuple(s // 2 for s in ns)
-    mask = np.ones(ns, dtype=bool)
-    for d, c in enumerate(center):
-        coords = np.arange(ns[d])
-        sel = np.abs(coords - c) <= radius
-        shape = [1] * grid.dim
-        shape[d] = ns[d]
-        mask &= sel.reshape(shape)
-    return mask.ravel()
+    return _node_box([np.abs(np.arange(n) - n // 2) <= radius for n in grid.node_shape])
 
 
 def surface_flux(grid: RectGrid, flux_edges: np.ndarray, inside: np.ndarray,
                  ) -> float:
     """Flux through the closed surface around a node set: signed sum of
     dual-cell flux values on edges cut by the surface."""
+    inside = np.asarray(inside, dtype=bool).reshape(grid.node_shape)
     total = 0.0
-    for e, (d, tail) in enumerate(_edges(grid)):
-        head = list(tail)
-        head[d] += 1
-        t_in = inside[grid.node_index(tail)]
-        h_in = inside[grid.node_index(head)]
-        if t_in and not h_in:
-            total += flux_edges[e]
-        elif h_in and not t_in:
-            total -= flux_edges[e]
+    for d, flux in enumerate(grid.edge_blocks(flux_edges)):
+        tail_in = inside[_along(d, slice(None, -1), grid.dim)]
+        head_in = inside[_along(d, slice(1, None), grid.dim)]
+        total += flux[tail_in & ~head_in].sum() - flux[head_in & ~tail_in].sum()
     return float(total)

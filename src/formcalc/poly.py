@@ -196,7 +196,8 @@ class Poly:
 
 
 def parse_poly(text: str, nvars: int) -> Poly:
-    """Parse the ``str`` output format: sums of ``c*x0^a*x1`` monomials."""
+    """Parse the ``str`` output format: sums of ``c*x0^a*x1`` monomials.
+    A variable index outside ``0..nvars-1`` raises ValueError."""
     text = text.replace("- ", "+ -").strip()
     if text in ("", "0"):
         return Poly.zero(nvars)
@@ -209,24 +210,17 @@ def parse_poly(text: str, nvars: int) -> Poly:
         exps = [0] * nvars
         for factor in chunk.split("*"):
             factor = factor.strip()
+            if factor.startswith("-x"):
+                coeff = -coeff
+                factor = factor[1:]
             if factor.startswith("x"):
-                if "^" in factor:
-                    var, p = factor[1:].split("^")
-                    exps[int(var)] += int(p)
-                else:
-                    exps[int(factor[1:])] += 1
+                var, caret, power = factor[1:].partition("^")
+                if not 0 <= int(var) < nvars:
+                    raise ValueError(f"variable {factor!r} outside x0..x{nvars - 1}")
+                exps[int(var)] += int(power) if caret else 1
             elif factor == "-":
                 coeff = -coeff
             else:
-                if factor.startswith("-x"):
-                    coeff = -coeff
-                    factor = factor[1:]
-                    if "^" in factor:
-                        var, p = factor[1:].split("^")
-                        exps[int(var)] += int(p)
-                    else:
-                        exps[int(factor[1:])] += 1
-                else:
-                    coeff *= Fraction(factor)
+                coeff *= Fraction(factor)
         total = total + Poly(nvars, {tuple(exps): coeff})
     return total

@@ -122,8 +122,13 @@ def test_maxwell_evolve_writes_diagnostics(outdir, capsys):
     ("integrate mobius", "# degree=2 parity=sideways mode=exact\n"),
     ("integrate mobius", "# degree=2 parity=twisted mode=exact\n0,one half\n"),
     ("hodge", "n=four p=2; [0,1]: 1\n"),
+    ("integrate mobius", "# degree=2 parity=twisted mode=exact\n-1,5\n"),
+    ("integrate mobius", "# degree=2 parity=twisted mode=exact\n0,1\n1,1\n"),
+    ("stokes-check disk", "# degree=1 parity=twisted mode=exact\n0,1\n"),
+    ("hodge", "n=3 p=1; [0]: x-1\n"),
 ], ids=["cochain-no-header", "cochain-no-degree", "cochain-unknown-parity",
-        "cochain-not-rational", "form-bad-header"])
+        "cochain-not-rational", "form-bad-header", "cochain-negative-index",
+        "cochain-short-integrate", "cochain-short-stokes", "form-negative-variable"])
 def test_malformed_input_is_parse_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -138,3 +143,21 @@ def test_nonpositive_cells_is_usage_error(outdir, command):
     with pytest.raises(SystemExit) as info:
         main([command, "--cells", "0"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxwell-evolve", "--cells", "4", "--steps", "-1"],
+    ["maxwell-static-e", "--cells", "4", "--radii", "2,x"],
+    ["maxwell-static-b", "--cells", "4", "--radii", "2,x"],
+], ids=["evolve-negative-steps", "static-e-bad-radii", "static-b-bad-radii"])
+def test_malformed_argument_is_usage_error(outdir, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_maxwell_evolve_zero_steps_is_one_period(outdir, capsys):
+    assert main(["maxwell-evolve", "--cells", "16", "--steps", "0"]) == 0
+    steps = int(capsys.readouterr().out.split()[1])
+    rows = (outdir / "evolution_diagnostics.csv").read_text().strip().splitlines()
+    assert steps > 0 and len(rows) == steps + 1

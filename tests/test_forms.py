@@ -199,3 +199,9 @@ def test_degree_mismatch_rejected():
         PolyForm.basis(2, (0,)) + PolyForm.basis(2, (0, 1))
     with pytest.raises(ValueError):
         PolyForm.basis(2, (0,)) + PolyForm.basis(2, (0,), Parity.TWISTED)
+
+
+@pytest.mark.parametrize("text", ["x-1", "x7", "2*x0*x3^2"])
+def test_parse_poly_rejects_variable_out_of_range(text):
+    with pytest.raises(ValueError, match="outside x0..x2"):
+        parse_poly(text, 3)

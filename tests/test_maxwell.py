@@ -49,6 +49,19 @@ def test_electrostatics_gauss_small_grid():
     for radius in (2, 5):
         flux = result.flux_through_box(radius)
         assert abs(flux - 3.0) / 3.0 < 0.01
+    assert result.solution.iterations > 0
+
+
+def test_electrostatics_gauss_two_materials():
+    grid = RectGrid((16, 16, 16), (1.0, 1.0, 1.0))
+    eps = np.ones(grid.shape)
+    eps[8:] = 4.0  # the charge sits on the interface between the halves
+    rho = np.zeros(grid.node_shape)
+    rho[8, 8, 8] = 3.0
+    result = solve_electrostatics(grid, rho.ravel(), eps=eps, tol=1e-10)
+    for radius in (2, 5):
+        flux = result.flux_through_box(radius)
+        assert abs(flux - 3.0) / 3.0 < 0.01
 
 
 def test_electrostatics_flux_excludes_outside_charge():
