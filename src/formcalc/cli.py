@@ -134,50 +134,53 @@ def cmd_stokes_check(args) -> int:
 
 
 def cmd_hodge(args) -> int:
-    g = parse_metric(args.metric)
     form = _load_form(args.form_file)
-    print(form_to_text(form.hodge(g)))
+    print(form_to_text(form.hodge(args.metric)))
     return EXIT_OK
 
 
-def cmd_maxwell_static_e(args) -> int:
+def _static_check(args, dim: int, source: float, solve, measure, label: str,
+                  csv_name: str) -> int:
+    """Solve with ``source`` on the center node of a grounded grid of
+    ``args.cells`` cells per axis, then check that ``measure(result, grid, r)``
+    returns the source for every box radius r in ``args.radii``."""
     n = args.cells
-    grid = RectGrid((n, n, n), (1.0, 1.0, 1.0))
-    rho = np.zeros(grid.node_shape)
-    rho[tuple(s // 2 for s in grid.node_shape)] = args.charge
-    result = solve_electrostatics(grid, rho.ravel(), tol=args.tol)
-    rows = ["radius,flux"]
+    grid = RectGrid((n,) * dim, (1.0,) * dim)
+    center = tuple(s // 2 for s in grid.node_shape)
+    largest = min(n - center[0], center[0]) - 1
+    for r in args.radii:
+        if r > largest:
+            print(f"error: a box of radius {r} reaches the grounded boundary; "
+                  f"at --cells {n} the largest radius is {largest}", file=sys.stderr)
+            return EXIT_USAGE
+    f = np.zeros(grid.node_shape)
+    f[center] = source
+    result = solve(grid, f.ravel(), tol=args.tol)
+    rows = [f"radius,{label}"]
     status = EXIT_OK
     for r in args.radii:
-        flux = result.flux_through_box(r)
-        rows.append(f"{r},{flux!r}")
-        rel = abs(flux - args.charge) / abs(args.charge)
-        print(f"radius {r}: flux = {flux!r} (relative error {rel:.2e})")
+        value = measure(result, grid, r)
+        rows.append(f"{r},{value!r}")
+        rel = abs(value - source) / abs(source)
+        print(f"radius {r}: {label} = {value!r} (relative error {rel:.2e})")
         if rel > 0.01:
             status = EXIT_CHECK_FAILED
-    path = _write_text("electrostatics_flux.csv", "\n".join(rows) + "\n")
+    path = _write_text(csv_name, "\n".join(rows) + "\n")
     print("wrote", path)
     return status
+
+
+def cmd_maxwell_static_e(args) -> int:
+    return _static_check(args, 3, args.charge, solve_electrostatics,
+                         lambda result, grid, r: result.flux_through_box(r),
+                         "flux", "electrostatics_flux.csv")
 
 
 def cmd_maxwell_static_b(args) -> int:
-    n = args.cells
-    grid = RectGrid((n, n), (1.0, 1.0))
-    j = np.zeros(grid.node_shape)
-    j[tuple(s // 2 for s in grid.node_shape)] = args.current
-    result = solve_magnetostatics(grid, j.ravel(), tol=args.tol)
-    rows = ["radius,circulation"]
-    status = EXIT_OK
-    for r in args.radii:
-        circ = result.circulation_around(box_node_set(grid, r))
-        rows.append(f"{r},{circ!r}")
-        rel = abs(circ - args.current) / abs(args.current)
-        print(f"radius {r}: circulation = {circ!r} (relative error {rel:.2e})")
-        if rel > 0.01:
-            status = EXIT_CHECK_FAILED
-    path = _write_text("magnetostatics_circulation.csv", "\n".join(rows) + "\n")
-    print("wrote", path)
-    return status
+    return _static_check(
+        args, 2, args.current, solve_magnetostatics,
+        lambda result, grid, r: result.circulation_around(box_node_set(grid, r)),
+        "circulation", "magnetostatics_circulation.csv")
 
 
 def _plane_wave_state(n: int) -> tuple[EMState, float, int]:
@@ -225,10 +228,8 @@ def cmd_maxwell_evolve(args) -> int:
 
 
 def cmd_lorentz(args) -> int:
-    g = parse_metric(args.metric)
-    velocity = tuple(Fraction(v) for v in args.velocity.split(","))
     field = _load_form(args.field_file)
-    result = lorentz_force(Fraction(args.charge), velocity, field, g)
+    result = lorentz_force(args.charge, args.velocity, field, args.metric)
     print("force covector:", result["covector"])
     print("force vector:", result["vector"])
     print("g(force, velocity):", _fmt(result["orthogonality"]))
@@ -412,19 +413,34 @@ def cmd_demo(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
+def _argument(convert, ok=lambda value: True, need: str = ""):
+    """argparse type: ``convert(text)``, a usage error when it fails or when
+    ``ok`` refuses its value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"cannot read {text!r}: {exc}") from exc
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text}")
+        return value
+    return parse
+
+
 def _at_least(minimum: int):
     """argparse type: an integer no smaller than ``minimum``."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"need at least {minimum}, got {value}")
-        return value
-    return integer
+    return _argument(int, lambda value: value >= minimum, f"at least {minimum}")
 
 
-def _radii(text: str) -> list[int]:
-    """argparse type: comma-separated box radii in grid steps."""
-    return [_at_least(0)(r) for r in text.split(",")]
+_radii = _argument(lambda text: [int(r) for r in text.split(",")],
+                   lambda radii: min(radii) >= 0, "box radii of at least 0")
+_nonzero = _argument(float, lambda value: value != 0 and math.isfinite(value),
+                     "a finite nonzero number")
+_positive = _argument(float, lambda value: 0 < value < math.inf,
+                      "a finite positive number")
+_metric = _argument(parse_metric)
+_rational = _argument(Fraction)
+_rationals = _argument(lambda text: tuple(Fraction(v) for v in text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,24 +475,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hodge", help="apply the Hodge star to a polynomial form")
     p.add_argument("form_file", help="form text file, or - for stdin")
-    p.add_argument("--metric", default="diag(1,1,1)",
+    p.add_argument("--metric", type=_metric, default="diag(1,1,1)",
                    help='e.g. "diag(-1,1,1,1)"')
     p.set_defaults(func=cmd_hodge)
 
     p = sub.add_parser("maxwell-static-e", help="grounded-box point-charge "
                                                 "electrostatics; Gauss check")
     p.add_argument("--cells", type=_at_least(1), default=32)
-    p.add_argument("--charge", type=float, default=5.0)
+    p.add_argument("--charge", type=_nonzero, default=5.0)
     p.add_argument("--radii", type=_radii, default="3,6,10")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     p.set_defaults(func=cmd_maxwell_static_e)
 
     p = sub.add_parser("maxwell-static-b", help="straight-wire magnetostatics; "
                                                 "circulation check")
     p.add_argument("--cells", type=_at_least(1), default=64)
-    p.add_argument("--current", type=float, default=2.5)
+    p.add_argument("--current", type=_nonzero, default=2.5)
     p.add_argument("--radii", type=_radii, default="4,9")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     p.set_defaults(func=cmd_maxwell_static_b)
 
     p = sub.add_parser("maxwell-evolve", help="periodic plane-wave leapfrog "
@@ -489,10 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lorentz", help="Lorentz force covector/vector from a "
                                        "field 2-form")
     p.add_argument("field_file", help="2-form text file, or - for stdin")
-    p.add_argument("--charge", default="1")
-    p.add_argument("--velocity", required=True,
+    p.add_argument("--charge", type=_rational, default="1")
+    p.add_argument("--velocity", type=_rationals, required=True,
                    help="comma-separated rational components, e.g. 5/4,3/4,0,0")
-    p.add_argument("--metric", default="diag(-1,1,1,1)")
+    p.add_argument("--metric", type=_metric, default="diag(-1,1,1,1)")
     p.set_defaults(func=cmd_lorentz)
 
     p = sub.add_parser("demo", help="run a named self-checking scenario")

@@ -16,11 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import perm_sign
 from .metric import Metric
 from .parity import Parity
 from .poly import _as_fraction
-from .simplicial import Chain, MeshFormatError, SimplicialComplex, boundary
+from .simplicial import Chain, MeshFormatError, SimplicialComplex, _vertex_rows, boundary
 
 
 @dataclass(frozen=True)
@@ -93,14 +92,15 @@ def coboundary(omega: Cochain, complex: SimplicialComplex) -> Cochain:
     p = omega.degree
     if p >= complex.dim:
         raise ValueError("coboundary of a top-degree cochain")
-    zero = Fraction(0) if omega.mode == "exact" else 0.0
-    out = [zero] * complex.num_simplices(p + 1)
-    for col, entries in enumerate(complex.incidence_entries[p + 1]):
-        acc = zero
-        for row, sign in entries:
-            acc += sign * omega.values[row]
-        out[col] = acc
+    values = _value_array(omega)
+    out = (complex.face_signs[p + 1] * values[complex.faces[p + 1]]).sum(axis=1)
     return Cochain(p + 1, tuple(out), omega.parity, omega.mode)
+
+
+def _value_array(omega: Cochain) -> np.ndarray:
+    """The values as a numpy array: Fractions in an object array in exact
+    mode, so that array arithmetic stays exact, floats otherwise."""
+    return np.array(omega.values, dtype=object if omega.mode == "exact" else float)
 
 
 def integrate(omega: Cochain, chain: Chain):
@@ -148,18 +148,15 @@ def cup_wedge(a: Cochain, b: Cochain, complex: SimplicialComplex) -> Cochain:
     mode = "exact" if a.mode == b.mode == "exact" else "float"
     sgn = (-1) ** (p * q)
     half = Fraction(1, 2) if mode == "exact" else 0.5
-    out = []
-    for s in complex.simplices[p + q]:
-        srt = tuple(sorted(s))
-        sigma = perm_sign(s)
-        front_a = complex.simplex_index(srt[:p + 1], p)
-        back_a = complex.simplex_index(srt[p:], q)
-        front_b = complex.simplex_index(srt[:q + 1], q)
-        back_b = complex.simplex_index(srt[q:], p)
-        ab = a.values[front_a] * b.values[back_a]
-        ba = b.values[front_b] * a.values[back_b]
-        out.append(sigma * half * (ab + sgn * ba))
-    return Cochain(p + q, tuple(out), parity, mode)
+    k = p + q
+    srt = np.sort(_vertex_rows(complex.simplices[k], k + 1), axis=1)
+    # the facet opposite the lowest vertex carries the sign of the stored order
+    sigma = complex.face_signs[k][:, 0] if k else 1
+    va, vb = _value_array(a), _value_array(b)
+    ab = va[complex.simplex_index(srt[:, :p + 1], p)] * vb[complex.simplex_index(srt[:, p:], q)]
+    ba = vb[complex.simplex_index(srt[:, :q + 1], q)] * va[complex.simplex_index(srt[:, q:], p)]
+    out = sigma * half * (ab + sgn * ba)
+    return Cochain(k, tuple(out), parity, mode)
 
 
 def twist_cochain(omega: Cochain, complex: SimplicialComplex,
@@ -288,21 +285,22 @@ def dual_volume_ratios(complex: SimplicialComplex, degree: int,
                 raise NotWellCenteredError(k, i)
             level.append(c)
         centers.append(level)
-    # dual volumes by descending recursion over coface chains
-    dual = [np.zeros(complex.num_simplices(k)) for k in range(n + 1)]
-    dual[n][:] = 1.0
-    cofaces = _coface_table(complex)
-    for k in range(n - 1, -1, -1):
-        for i in range(complex.num_simplices(k)):
-            total = 0.0
-            total += _dual_volume(complex, centers, cofaces, k, i, n)
-            dual[k][i] = total
+    # cofaces[k][i]: the (k+1)-simplices on simplex i, its row of boundary_matrix(k+1)
+    cofaces = {k: complex.boundary_matrix(k + 1).tolil().rows for k in range(degree, n)}
+
+    def dual_volume(k: int, i: int, chain_pts: list[np.ndarray]) -> float:
+        """Sum of elementary dual volumes over ascending simplex chains."""
+        if k == n:
+            return _gram_volume(chain_pts)
+        return sum((dual_volume(k + 1, up, chain_pts + [centers[k + 1][up]])
+                    for up in cofaces[k][i]), 0.0)
+
     ratios = []
     for i, s in enumerate(complex.simplices[degree]):
         pv = _gram_volume([coords[v] for v in s])
         if pv == 0:
             raise ValueError(f"degenerate primal simplex {i} of degree {degree}")
-        ratios.append(dual[degree][i] / pv)
+        ratios.append(dual_volume(degree, i, [centers[degree][i]]) / pv)
     return ratios
 
 
@@ -316,29 +314,6 @@ def _metric_coords(complex: SimplicialComplex, g: Metric | None) -> list[np.ndar
     G = np.array([[float(v) for v in row] for row in g.matrix])
     L = np.linalg.cholesky(G)
     return [L.T @ p for p in pts]
-
-
-def _coface_table(complex: SimplicialComplex) -> list[dict[int, list[int]]]:
-    tables: list[dict[int, list[int]]] = [dict() for _ in range(complex.dim + 1)]
-    for k in range(1, complex.dim + 1):
-        for col, entries in enumerate(complex.incidence_entries[k]):
-            for row, _ in entries:
-                tables[k].setdefault(row, []).append(col)
-    return tables
-
-
-def _dual_volume(complex, centers, cofaces, k: int, i: int, n: int) -> float:
-    """Sum of elementary dual volumes over ascending simplex chains."""
-
-    def walk(level: int, idx: int, chain_pts: list[np.ndarray]) -> float:
-        if level == n:
-            return _gram_volume(chain_pts)
-        total = 0.0
-        for up in cofaces[level + 1].get(idx, []):
-            total += walk(level + 1, up, chain_pts + [centers[level + 1][up]])
-        return total
-
-    return walk(k, i, [centers[k][i]])
 
 
 # -- CSV serialization -------------------------------------------------------

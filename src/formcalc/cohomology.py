@@ -104,8 +104,7 @@ def betti_numbers(complex: SimplicialComplex) -> CohomologyReport:
     torsions: list[tuple] = [()] * (n + 1)
     factor_lists: dict[int, list[int]] = {}
     for k in range(1, n + 1):
-        B = complex.boundary_matrix(k).toarray().tolist()
-        factors = smith_normal_form([[int(v) for v in row] for row in B])
+        factors = smith_normal_form(complex.boundary_matrix(k).toarray().tolist())
         ranks[k] = len(factors)
         factor_lists[k] = factors
     betti = []

@@ -264,4 +264,6 @@ def parse_metric(text: str) -> Metric:
         entries = [Fraction(t) for t in text[5:-1].split(",")]
         return Metric.diag(*entries)
     rows = [tuple(Fraction(v) for v in row.split()) for row in text.split(";") if row.strip()]
+    if not rows:
+        raise ValueError("empty metric literal")
     return Metric(tuple(rows))

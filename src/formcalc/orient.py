@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .exact import det, perm_sign, rank
 from .poly import _as_fraction
-from .simplicial import SimplicialComplex
 
 
 class FrameKind(enum.Enum):
@@ -123,8 +122,7 @@ def twist(sign: RelativeSign, tangent: OrientationFrame,
     return sign * untwist(external, tangent, manifold_orientation)
 
 
-def induced_boundary_sign(cell: Sequence[int], facet: Sequence[int],
-                          complex: SimplicialComplex | None = None) -> RelativeSign:
+def induced_boundary_sign(cell: Sequence[int], facet: Sequence[int]) -> RelativeSign:
     """Sign of the orientation a facet inherits from an ordered simplex.
 
     Matches the boundary-matrix entry: omit position j for (-1)^j, times

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .exact import perm_sign
 from .parity import Parity
 from .poly import _as_fraction
 
@@ -28,6 +28,24 @@ class MeshFormatError(ValueError):
         self.line = line
 
 
+def _vertex_rows(level: list[tuple], width: int) -> np.ndarray:
+    """The simplices of one level as an (m, width) integer array."""
+    return np.array(level, dtype=np.int64).reshape(-1, width)
+
+
+def _find_rows(table: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Index in ``table`` of each row of ``query``, rows compared as tuples
+    by one lexicographic ``np.unique``: a query row's first occurrence in
+    ``table`` followed by ``query`` lies in ``table`` exactly when it is there."""
+    both = np.concatenate([table, query])
+    _, first, inverse = np.unique(both, axis=0, return_index=True, return_inverse=True)
+    found = first[inverse.ravel()[len(table):]]
+    if (found >= len(table)).any():
+        missing = query[np.argmax(found >= len(table))]
+        raise KeyError(f"no simplex {tuple(missing.tolist())} in the complex")
+    return found
+
+
 class SimplicialComplex:
     """Finite simplicial complex with oriented cells.
 
@@ -39,43 +57,44 @@ class SimplicialComplex:
         self.vertices = [tuple(float(x) for x in v) for v in vertices]
         self.simplices = [list(map(tuple, level)) for level in simplices]
         self.dim = len(self.simplices) - 1
-        self._index = [
-            {tuple(sorted(s)): i for i, s in enumerate(level)}
-            for level in self.simplices
-        ]
-        # incidence_entries[k]: per k-simplex, list of ((k-1)-simplex index, sign)
-        self.incidence_entries: list[list[list[tuple[int, int]]]] = [[]]
+        # faces[k][c, i]: index in level k-1 of the facet of k-simplex c that
+        # omits its i-th smallest vertex; face_signs[k][c, i]: its +-1 sign
+        rows = [_vertex_rows(level, k + 1) for k, level in enumerate(self.simplices)]
+        self.faces = [np.zeros((len(rows[0]), 0), dtype=np.int64)]
+        self.face_signs = [self.faces[0]]
         for k in range(1, self.dim + 1):
-            cols = []
-            for s in self.simplices[k]:
-                entries = []
-                for j in range(len(s)):
-                    face = s[:j] + s[j + 1:]
-                    row = self._index[k - 1][tuple(sorted(face))]
-                    sign = (-1) ** j * perm_sign(face)
-                    entries.append((row, sign))
-                cols.append(entries)
-            self.incidence_entries.append(cols)
+            cells = rows[k]
+            # the stored vertex order is the ascending one times the sign
+            # of its permutation, the parity of its inversions
+            inversions = sum(cells[:, i] > cells[:, j]
+                             for i, j in combinations(range(k + 1), 2))
+            keep = [[j for j in range(k + 1) if j != i] for i in range(k + 1)]
+            facets = np.sort(cells, axis=1)[:, keep].reshape(-1, k)
+            found = _find_rows(np.sort(rows[k - 1], axis=1), facets)
+            self.faces.append(found.reshape(-1, k + 1))
+            self.face_signs.append((1 - 2 * (inversions % 2))[:, None]
+                                   * (-1) ** np.arange(k + 1))
 
     # -- queries --------------------------------------------------------
     def num_simplices(self, k: int) -> int:
         return len(self.simplices[k]) if 0 <= k <= self.dim else 0
 
-    def simplex_index(self, vertices: Sequence[int], degree: int) -> int:
-        return self._index[degree][tuple(sorted(vertices))]
+    def simplex_index(self, vertices, degree: int):
+        """Index of the degree-simplex with these vertices, in any order.
+        An (m, degree + 1) array of vertex rows gives an array of m indices."""
+        query = np.sort(np.asarray(vertices, dtype=np.int64), axis=-1)
+        table = np.sort(_vertex_rows(self.simplices[degree], degree + 1), axis=1)
+        found = _find_rows(table, query.reshape(-1, degree + 1))
+        return int(found[0]) if query.ndim == 1 else found
 
     def boundary_matrix(self, k: int) -> sparse.csr_matrix:
         """Signed incidence matrix: rows (k-1)-simplices, cols k-simplices."""
         if not 1 <= k <= self.dim:
             raise ValueError(f"no boundary matrix for degree {k}")
-        rows, cols, vals = [], [], []
-        for col, entries in enumerate(self.incidence_entries[k]):
-            for row, sign in entries:
-                rows.append(row)
-                cols.append(col)
-                vals.append(sign)
+        faces = self.faces[k]
+        cols = np.repeat(np.arange(len(faces)), k + 1)
         return sparse.csr_matrix(
-            (vals, (rows, cols)),
+            (self.face_signs[k].ravel(), (faces.ravel(), cols)),
             shape=(self.num_simplices(k - 1), self.num_simplices(k)),
             dtype=np.int64)
 
@@ -86,10 +105,8 @@ class SimplicialComplex:
         """Every codimension-1 simplex bounds at most two top simplices."""
         if self.dim == 0:
             return True
-        counts = np.zeros(self.num_simplices(self.dim - 1), dtype=int)
-        for entries in self.incidence_entries[self.dim]:
-            for row, _ in entries:
-                counts[row] += 1
+        counts = np.bincount(self.faces[self.dim].ravel(),
+                             minlength=self.num_simplices(self.dim - 1))
         return bool((counts <= 2).all())
 
     def orientability(self) -> tuple[bool, list[int] | None]:
@@ -103,10 +120,10 @@ class SimplicialComplex:
         n = self.dim
         if n == 0:
             return True, [1] * self.num_simplices(0)
-        facet_cells: dict[int, list[tuple[int, int]]] = {}
-        for col, entries in enumerate(self.incidence_entries[n]):
-            for row, sign in entries:
-                facet_cells.setdefault(row, []).append((col, sign))
+        faces, face_signs = self.faces[n].tolist(), self.face_signs[n].tolist()
+        # row r of the boundary matrix lists the (at most two) cells on facet r
+        B = self.boundary_matrix(n)
+        starts, cells, cell_signs = B.indptr.tolist(), B.indices.tolist(), B.data.tolist()
         signs = [0] * self.num_simplices(n)
         for seed in range(len(signs)):
             if signs[seed]:
@@ -115,11 +132,12 @@ class SimplicialComplex:
             queue = [seed]
             while queue:
                 cell = queue.pop()
-                for row, sign in self.incidence_entries[n][cell]:
-                    for other, osign in facet_cells[row]:
+                for row, sign in zip(faces[cell], face_signs[cell]):
+                    for at in range(starts[row], starts[row + 1]):
+                        other = cells[at]
                         if other == cell:
                             continue
-                        want = -signs[cell] * sign * osign
+                        want = -signs[cell] * sign * cell_signs[at]
                         if signs[other] == 0:
                             signs[other] = want
                             queue.append(other)
@@ -191,11 +209,9 @@ def build_complex(vertex_coords: Iterable[Sequence], top_simplices: Iterable[Seq
     All faces are generated (closure property); lower simplices are stored
     in ascending vertex order, top simplices as given."""
     vertices = [tuple(v) for v in vertex_coords]
-    if vertices:
-        arity = len(vertices[0])
-        for i, v in enumerate(vertices):
-            if len(v) != arity:
-                raise ValueError(f"vertex {i} has {len(v)} coordinates, expected {arity}")
+    for i, v in enumerate(vertices):
+        if len(v) != len(vertices[0]):
+            raise ValueError(f"vertex {i} has {len(v)} coordinates, expected {len(vertices[0])}")
     tops = [tuple(int(i) for i in s) for s in top_simplices]
     if not tops:
         levels = [[(i,) for i in range(len(vertices))]]
@@ -207,26 +223,17 @@ def build_complex(vertex_coords: Iterable[Sequence], top_simplices: Iterable[Seq
         for i in s:
             if not 0 <= i < len(vertices):
                 raise ValueError(f"vertex index {i} out of range in simplex {s}")
-    levels: list[set] = [set() for _ in range(dim + 1)]
-    top_level: list[tuple] = []
-    seen_top = set()
+    levels: list[set] = [set() for _ in range(dim)]
+    top_level: dict[tuple, tuple] = {}  # first vertex order given for each top simplex
     for s in tops:
         key = tuple(sorted(s))
-        if len(s) - 1 == dim:
-            if key not in seen_top:
-                seen_top.add(key)
-                top_level.append(s)
-        else:
-            levels[len(s) - 1].add(key)
-        # generate all proper faces in sorted order
-        from itertools import combinations
-        for k in range(len(s) - 1):
-            for face in combinations(key, k + 1):
-                levels[k].add(face)
-    simplices = [sorted(levels[k]) for k in range(dim)]
-    simplices.append(top_level)
-    # faces of mixed-dimension input below top must also close lower levels
-    return SimplicialComplex(vertices, simplices)
+        if len(s) == dim + 1:
+            top_level.setdefault(key, s)
+        # every face in sorted order, and a lower simplex itself
+        for k in range(min(len(s), dim)):
+            levels[k].update(combinations(key, k + 1))
+    return SimplicialComplex(vertices, [sorted(level) for level in levels]
+                             + [list(top_level.values())])
 
 
 def boundary(chain: Chain, complex: SimplicialComplex) -> Chain:
@@ -235,11 +242,12 @@ def boundary(chain: Chain, complex: SimplicialComplex) -> Chain:
         raise ValueError("boundary of a degree-0 chain is undefined")
     if chain.degree > complex.dim:
         raise ValueError("chain degree exceeds complex dimension")
-    out: dict[int, Fraction] = {}
-    for col, c in chain.coefficients.items():
-        for row, sign in complex.incidence_entries[chain.degree][col]:
-            out[row] = out.get(row, Fraction(0)) + sign * c
-    return Chain(chain.degree - 1, out, chain.parity)
+    k = chain.degree
+    cols = list(chain.coefficients)
+    coeffs = np.array([chain.coefficients[c] for c in cols], dtype=object)
+    out = np.zeros(complex.num_simplices(k - 1), dtype=object)
+    np.add.at(out, complex.faces[k][cols], complex.face_signs[k][cols] * coeffs[:, None])
+    return Chain(k - 1, {int(i): out[i] for i in np.flatnonzero(out)}, chain.parity)
 
 
 def orientability(complex: SimplicialComplex):

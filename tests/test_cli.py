@@ -161,3 +161,47 @@ def test_maxwell_evolve_zero_steps_is_one_period(outdir, capsys):
     steps = int(capsys.readouterr().out.split()[1])
     rows = (outdir / "evolution_diagnostics.csv").read_text().strip().splitlines()
     assert steps > 0 and len(rows) == steps + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxwell-static-e", "--cells", "4", "--charge", "0"],
+    ["maxwell-static-b", "--cells", "4", "--current", "0"],
+    ["maxwell-static-e", "--cells", "4", "--tol", "-1"],
+    ["maxwell-static-b", "--cells", "4", "--tol", "-1"],
+    ["hodge", "FORM", "--metric", "diag(1,x)"],
+    ["hodge", "FORM", "--metric", ";"],
+    ["lorentz", "FORM", "--velocity", "1,0,0,0", "--metric", "hodge"],
+    ["lorentz", "FORM", "--velocity", "1,a,0,0"],
+], ids=["static-e-zero-charge", "static-b-zero-current", "static-e-negative-tol",
+        "static-b-negative-tol", "hodge-bad-metric", "hodge-empty-metric",
+        "lorentz-bad-metric",
+        "lorentz-bad-velocity"])
+def test_bad_argument_value_is_usage_error(tmp_path, outdir, capsys, argv):
+    form = tmp_path / "form.txt"
+    form.write_text("n=4 p=2 parity=straight; [0,1]: 1\n")
+    with pytest.raises(SystemExit) as info:
+        main([str(form) if a == "FORM" else a for a in argv])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxwell-static-e", "--cells", "4", "--radii", "50"],
+    ["maxwell-static-b", "--cells", "4", "--radii", "1,50"],
+    ["maxwell-static-e", "--cells", "8", "--radii", "4"],
+    ["maxwell-static-b", "--cells", "8", "--radii", "4"],
+], ids=["static-e-cells-4", "static-b-cells-4", "static-e-whole-grid",
+        "static-b-whole-grid"])
+def test_box_reaching_grounded_boundary_is_usage_error(outdir, capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "flux" not in captured.out and "circulation" not in captured.out
+
+
+def test_largest_box_inside_grounded_boundary_runs(outdir, capsys):
+    assert main(["maxwell-static-e", "--cells", "8", "--radii", "3"]) == 0
+    assert main(["maxwell-static-b", "--cells", "8", "--radii", "3"]) == 0

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from formcalc import meshes
@@ -21,6 +22,7 @@ from formcalc.cochain import (
     stokes_pairing_check,
     twist_cochain,
 )
+from formcalc.exact import perm_sign
 from formcalc.metric import Metric
 from formcalc.parity import Parity
 from formcalc.simplicial import Chain, boundary, build_complex
@@ -44,6 +46,61 @@ def test_coboundary_squared_zero():
     rng = random.Random(3)
     f = frac_cochain(cx, 0, [rng.randint(-5, 5) for _ in cx.simplices[0]])
     assert coboundary(coboundary(f, cx), cx).is_zero()
+
+
+def fine_fractions(rng, count):
+    """Fractions whose denominators no float or 10^12 limit can carry."""
+    return [Fraction(rng.randint(-10**20, 10**20), rng.choice([3**31, 10**15 + 37]))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: meshes.uniform_refine(meshes.uniform_refine(meshes.torus())),
+    meshes.solid_tetrahedron,
+    lambda: meshes.uniform_refine(meshes.mobius_strip()),
+], ids=["torus-refined-twice", "solid-tetrahedron", "mobius-refined"])
+def test_exact_coboundary_stays_fraction(builder):
+    cx = builder()
+    rng = random.Random(11)
+    for p in range(cx.dim):
+        omega = Cochain(p, tuple(fine_fractions(rng, cx.num_simplices(p))))
+        d = coboundary(omega, cx)
+        assert all(type(v) is Fraction for v in d.values)
+        expected = [Fraction(0)] * cx.num_simplices(p + 1)
+        B = cx.boundary_matrix(p + 1).tocoo()
+        for row, col, sign in zip(B.row.tolist(), B.col.tolist(), B.data.tolist()):
+            expected[col] += sign * omega.values[row]
+        assert list(d.values) == expected
+        if p + 1 < cx.dim:
+            dd = coboundary(d, cx)
+            assert all(type(v) is Fraction and v == 0 for v in dd.values)
+
+
+def test_float_coboundary_is_transposed_boundary():
+    cx = meshes.uniform_refine(meshes.torus())
+    values = np.random.default_rng(4).standard_normal(cx.num_simplices(1))
+    d = coboundary(Cochain(1, tuple(values), mode="float"), cx)
+    assert np.allclose(d.values, cx.boundary_matrix(2).T @ values, rtol=0, atol=1e-12)
+
+
+def test_cup_wedge_matches_per_simplex_reference():
+    cx = meshes.uniform_refine(meshes.mobius_strip())
+    rng = random.Random(5)
+    for p, q in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2)]:
+        a = Cochain(p, tuple(fine_fractions(rng, cx.num_simplices(p))))
+        b = Cochain(q, tuple(fine_fractions(rng, cx.num_simplices(q))), Parity.TWISTED)
+        got = cup_wedge(a, b, cx)
+        assert got.parity is Parity.TWISTED
+        assert all(type(v) is Fraction for v in got.values)
+        expected = []
+        for s in cx.simplices[p + q]:
+            srt = tuple(sorted(s))
+            ab = (a.values[cx.simplex_index(srt[:p + 1], p)]
+                  * b.values[cx.simplex_index(srt[p:], q)])
+            ba = (b.values[cx.simplex_index(srt[:q + 1], q)]
+                  * a.values[cx.simplex_index(srt[q:], p)])
+            expected.append(perm_sign(s) * Fraction(1, 2) * (ab + (-1) ** (p * q) * ba))
+        assert list(got.values) == expected
 
 
 def test_coboundary_of_vertex_indicator():

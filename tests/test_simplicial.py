@@ -1,11 +1,14 @@
 """Simplicial complexes: construction, boundaries, orientability, mesh I/O."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formcalc import meshes
+from formcalc.exact import perm_sign
 from formcalc.parity import Parity
 from formcalc.simplicial import (
     Chain,
@@ -138,3 +141,107 @@ def test_chain_algebra():
     assert (-a).coefficients == {0: Fraction(-2), 1: Fraction(1)}
     assert a.scale(Fraction(1, 2)).coefficients == {0: Fraction(1),
                                                     1: Fraction(-1, 2)}
+
+
+# -- the incidence arrays against a per-simplex reference -------------------
+
+def reference_incidence(cx, k):
+    """Per k-simplex, the sorted list of (facet index, sign): drop vertex j
+    for (-1)^j, times the sign of the permutation sorting the facet."""
+    index = {tuple(sorted(s)): i for i, s in enumerate(cx.simplices[k - 1])}
+    entries = []
+    for s in cx.simplices[k]:
+        facets = [s[:j] + s[j + 1:] for j in range(len(s))]
+        entries.append(sorted((index[tuple(sorted(f))], (-1) ** j * perm_sign(f))
+                              for j, f in enumerate(facets)))
+    return entries
+
+
+def relabelled(cx, seed):
+    """The same complex with permuted vertex labels and top simplices
+    listed in a shuffled order, each rotated or reversed."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(len(cx.vertices))
+    verts = [None] * len(cx.vertices)
+    for old, new in enumerate(label):
+        verts[new] = cx.vertices[old]
+    tops = []
+    for i in rng.permutation(cx.num_simplices(cx.dim)):
+        s = [int(label[v]) for v in cx.simplices[cx.dim][i]]
+        shift = int(rng.integers(len(s)))
+        s = s[shift:] + s[:shift]
+        tops.append(s[::-1] if rng.integers(2) else s)
+    return build_complex(verts, tops)
+
+
+def rp2():
+    # minimal six-vertex real projective plane
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                 (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    verts = [(math.cos(1.1 * i), math.sin(1.1 * i), 0.1 * i) for i in range(6)]
+    return build_complex(verts, triangles)
+
+
+INCIDENCE_COMPLEXES = {
+    "torus-relabelled-refined": lambda: meshes.uniform_refine(relabelled(meshes.torus(), 1)),
+    "mobius-refined-relabelled":
+        lambda: relabelled(meshes.uniform_refine(meshes.mobius_strip()), 2),
+    "sphere-relabelled": lambda: relabelled(meshes.sphere_octahedron(), 3),
+    "rp2": rp2,
+    "rp2-relabelled": lambda: relabelled(rp2(), 4),
+    "solid-tetrahedron": meshes.solid_tetrahedron,
+    "tetrahedron-reordered": lambda: build_complex(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(2, 0, 3, 1)]),
+    "triangle-and-dangling-edge": lambda: build_complex(
+        [(0, 0), (1, 0), (0, 1), (2, 0)], [(2, 0, 1), (3, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", INCIDENCE_COMPLEXES)
+def test_incidence_arrays_match_reference(name):
+    cx = INCIDENCE_COMPLEXES[name]()
+    for k in range(1, cx.dim + 1):
+        reference = reference_incidence(cx, k)
+        faces, signs = cx.faces[k], cx.face_signs[k]
+        assert faces.shape == signs.shape == (cx.num_simplices(k), k + 1)
+        got = [sorted(zip(f, s)) for f, s in zip(faces.tolist(), signs.tolist())]
+        assert got == reference
+        expected = np.zeros((cx.num_simplices(k - 1), cx.num_simplices(k)), dtype=np.int64)
+        for col, entries in enumerate(reference):
+            for row, sign in entries:
+                expected[row, col] = sign
+        B = cx.boundary_matrix(k)
+        assert B.dtype == np.int64
+        assert np.array_equal(B.toarray(), expected)
+
+
+def test_simplex_index_finds_rows_in_any_order():
+    cx = relabelled(meshes.torus(), 5)
+    for k in range(cx.dim + 1):
+        for i, s in enumerate(cx.simplices[k]):
+            assert cx.simplex_index(s[::-1], k) == i
+        rows = np.array(cx.simplices[k])[::-1]
+        assert cx.simplex_index(rows, k).tolist() == list(range(cx.num_simplices(k)))[::-1]
+    with pytest.raises(KeyError):
+        cx.simplex_index((0, 0), 1)
+
+
+@st.composite
+def pure_complexes(draw):
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(dim + 1, 7))
+    coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    verts = draw(st.lists(st.tuples(coord, coord, coord), min_size=count, max_size=count))
+    tops = draw(st.lists(st.permutations(range(count)).map(lambda p: p[:dim + 1]),
+                         min_size=1, max_size=8))
+    return build_complex(verts, tops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_complexes())
+def test_mesh_text_round_trip_keeps_incidence(cx):
+    back = parse_mesh(mesh_to_text(cx))
+    assert back.vertices == cx.vertices
+    assert back.simplices == cx.simplices
+    for k in range(1, cx.dim + 1):
+        assert (back.boundary_matrix(k) != cx.boundary_matrix(k)).nnz == 0
