@@ -133,8 +133,19 @@ def cmd_stokes_check(args) -> int:
     return EXIT_OK if lhs == rhs else EXIT_CHECK_FAILED
 
 
+def _dimension_mismatch(what: str, dim: int, metric: Metric) -> bool:
+    """Report a usage error when ``dim`` is not the metric's dimension."""
+    if dim == metric.dim:
+        return False
+    print(f"error: {what} has dimension {dim}, the metric {metric.dim}",
+          file=sys.stderr)
+    return True
+
+
 def cmd_hodge(args) -> int:
     form = _load_form(args.form_file)
+    if _dimension_mismatch("the form", form.ambient_dim, args.metric):
+        return EXIT_USAGE
     print(form_to_text(form.hodge(args.metric)))
     return EXIT_OK
 
@@ -229,6 +240,9 @@ def cmd_maxwell_evolve(args) -> int:
 
 def cmd_lorentz(args) -> int:
     field = _load_form(args.field_file)
+    if (_dimension_mismatch("the field", field.ambient_dim, args.metric)
+            or _dimension_mismatch("--velocity", len(args.velocity), args.metric)):
+        return EXIT_USAGE
     result = lorentz_force(args.charge, args.velocity, field, args.metric)
     print("force covector:", result["covector"])
     print("force vector:", result["vector"])

@@ -1,7 +1,8 @@
 """Hole detection: Betti numbers, torsion, closed-vs-exact cochains.
 
 All ranks come from exact integer Smith normal form of the boundary
-matrices (arbitrary-precision ints, no floats); primitives come from
+matrices (arbitrary-precision ints, no floats): a sparse +-1-pivot
+reduction, then integer SNF on the remaining block.  Primitives come from
 exact rational elimination.
 """
 
@@ -17,67 +18,92 @@ from .parity import Parity
 from .simplicial import SimplicialComplex
 
 
-def smith_normal_form(matrix: list[list[int]]) -> list[int]:
-    """Invariant factors (diagonal of the SNF) of an integer matrix."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def _dense_snf(m: list[list[int]]) -> list[int]:
+    """Invariant factors of the dense integer matrix ``m``, which it consumes.
+
+    Each step moves the smallest nonzero entry of the block to the corner
+    and reduces its row and column by the nearest quotient, so that every
+    remainder is at most half the pivot and the next pivot is smaller.
+    Restarting from the smallest entry keeps the entries small in practice,
+    though it proves no bound."""
     factors: list[int] = []
-    r = 0
-    while r < min(rows, cols):
-        # find a nonzero pivot with minimal absolute value
-        pivot = None
-        best = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
+    while True:
+        pivot = min(((abs(v), i, j) for i, row in enumerate(m)
+                     for j, v in enumerate(row) if v), default=None)
         if pivot is None:
-            break
-        i, j = pivot
-        m[r], m[i] = m[i], m[r]
+            return factors
+        _, i, j = pivot
+        m[0], m[i] = m[i], m[0]
         for row in m:
-            row[r], row[j] = row[j], row[r]
-        while True:
-            # clear the pivot row and column by division with remainder
-            reduced = False
-            for i in range(r + 1, rows):
-                if m[i][r]:
-                    q = m[i][r] // m[r][r]
-                    for c in range(r, cols):
-                        m[i][c] -= q * m[r][c]
-                    if m[i][r]:
-                        m[r], m[i] = m[i], m[r]
-                        reduced = True
-            for j in range(r + 1, cols):
-                if m[r][j]:
-                    q = m[r][j] // m[r][r]
-                    for i in range(r, rows):
-                        m[i][j] -= q * m[i][r]
-                    if m[r][j]:
-                        for i in range(r, rows):
-                            m[i][r], m[i][j] = m[i][j], m[i][r]
-                        reduced = True
-            if not reduced:
-                break
-        # enforce divisibility of later entries by the pivot
-        p = abs(m[r][r])
-        fix = None
-        for i in range(r + 1, rows):
-            for j in range(r + 1, cols):
-                if m[i][j] % p:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            for c in range(r, cols):
-                m[r][c] += m[fix][c]
+            row[0], row[j] = row[j], row[0]
+        top = m[0]
+        p = top[0]
+        for row in m[1:]:
+            q = (2 * row[0] + p) // (2 * p)
+            if q:
+                for c, v in enumerate(top):
+                    row[c] -= q * v
+        for c in range(1, len(top)):
+            q = (2 * top[c] + p) // (2 * p)
+            if q:
+                for row in m:
+                    row[c] -= q * row[0]
+        if any(top[1:]) or any(row[0] for row in m[1:]):
             continue
-        factors.append(p)
-        r += 1
-    return factors
+        # the pivot must divide the rest of the block; if not, adding an
+        # offending row brings a smaller remainder into the pivot row
+        bad = next((row for row in m[1:] if any(v % p for v in row)), None)
+        if bad is not None:
+            m[0] = [x + y for x, y in zip(top, bad)]
+            continue
+        factors.append(abs(p))
+        m = [row[1:] for row in m[1:]]
+
+
+def smith_normal_form(matrix: list[list[int]]) -> list[int]:
+    """Invariant factors (diagonal of the SNF) of an integer matrix, each
+    dividing the next.
+
+    Stage 1 eliminates +-1 pivots on sparse rows: walking the rows in order,
+    a row that still holds a unit entry pivots on the one whose column has
+    the fewest nonzeros, row operations clear that column, and the pivot
+    row and column are dropped.  Column operations would then clear the
+    pivot row without touching any other entry, so each pivot is one
+    invariant factor 1.  Stage 2 runs the dense reduction on the block of
+    rows and columns that still hold entries."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    column: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            column.setdefault(j, set()).add(i)
+    units = 0
+    for r, pivot_row in enumerate(rows):
+        candidates = [j for j, v in pivot_row.items() if v == 1 or v == -1]
+        if not candidates:
+            continue
+        c = min(candidates, key=lambda j: len(column[j]))
+        unit = pivot_row.pop(c)
+        for i in column.pop(c):
+            if i == r:
+                continue
+            row = rows[i]
+            q = row.pop(c) * unit
+            for j, v in pivot_row.items():
+                w = row.get(j, 0) - q * v
+                if w:
+                    if j not in row:
+                        column[j].add(i)
+                    row[j] = w
+                else:
+                    del row[j]
+                    column[j].discard(i)
+        for j in pivot_row:
+            column[j].discard(r)
+        rows[r] = {}
+        units += 1
+    rest = [row for row in rows if row]
+    live = sorted({j for row in rest for j in row})
+    return [1] * units + _dense_snf([[row.get(j, 0) for j in live] for row in rest])
 
 
 @dataclass(frozen=True)

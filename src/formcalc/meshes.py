@@ -127,6 +127,18 @@ def mobius_strip(segments: int = 6, width: float = 1.0, radius: float = 2.0,
     return build_complex(verts, tris)
 
 
+def projective_plane() -> SimplicialComplex:
+    """Minimal six-vertex real projective plane: 10 triangles, 15 edges.
+
+    RP^2 does not embed in 3-space, so the coordinates only place the
+    vertices; the triangles cross each other and only the combinatorics
+    (torsion 2 in degree 1, non-orientable) mean anything."""
+    verts = [(math.cos(1.1 * i), math.sin(1.1 * i), 0.1 * i) for i in range(6)]
+    tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    return build_complex(verts, tris)
+
+
 def uniform_refine(complex: SimplicialComplex) -> SimplicialComplex:
     """Midpoint subdivision of a 1- or 2-dimensional complex."""
     if complex.dim > 2:
@@ -163,4 +175,5 @@ BUILDERS = {
     "torus": torus,
     "mobius": mobius_minimal,
     "mobius-strip": mobius_strip,
+    "rp2": projective_plane,
 }

@@ -205,3 +205,18 @@ def test_box_reaching_grounded_boundary_is_usage_error(outdir, capsys, argv):
 def test_largest_box_inside_grounded_boundary_runs(outdir, capsys):
     assert main(["maxwell-static-e", "--cells", "8", "--radii", "3"]) == 0
     assert main(["maxwell-static-b", "--cells", "8", "--radii", "3"]) == 0
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["hodge", "FORM", "--metric", "diag(1,1)"], "n=4 p=2 parity=straight; [0,1]: 1\n"),
+    (["lorentz", "FORM", "--velocity", "1,0"], "n=4 p=2 parity=straight; [0,1]: 2\n"),
+    (["lorentz", "FORM", "--velocity", "1,0,0,0"], "n=3 p=2 parity=straight; [0,1]: 2\n"),
+], ids=["hodge-metric", "lorentz-velocity", "lorentz-field"])
+def test_dimension_mismatch_is_usage_error(tmp_path, capsys, argv, field):
+    form = tmp_path / "form.txt"
+    form.write_text(field)
+    assert main([str(form) if a == "FORM" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""

@@ -1,8 +1,13 @@
 """Betti numbers, torsion, closed-versus-exact classification."""
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from formcalc import meshes
 from formcalc.cochain import Cochain, coboundary, integrate
@@ -17,6 +22,127 @@ from formcalc.parity import Parity
 from formcalc.simplicial import Chain, build_complex
 
 
+def reference_snf(matrix):
+    """Dense Smith normal form by brute force: a global smallest-pivot
+    search, then row and column passes by floor division that swap in each
+    nonzero remainder.  Its entries can grow past thousands of digits on
+    dense blocks, so it is the reference on boundary matrices only."""
+    m = [row[:] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    factors = []
+    r = 0
+    while r < min(rows, cols):
+        pivot = None
+        best = None
+        for i in range(r, rows):
+            for j in range(r, cols):
+                v = abs(m[i][j])
+                if v and (best is None or v < best):
+                    best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        m[r], m[i] = m[i], m[r]
+        for row in m:
+            row[r], row[j] = row[j], row[r]
+        while True:
+            reduced = False
+            for i in range(r + 1, rows):
+                if m[i][r]:
+                    q = m[i][r] // m[r][r]
+                    for c in range(r, cols):
+                        m[i][c] -= q * m[r][c]
+                    if m[i][r]:
+                        m[r], m[i] = m[i], m[r]
+                        reduced = True
+            for j in range(r + 1, cols):
+                if m[r][j]:
+                    q = m[r][j] // m[r][r]
+                    for i in range(r, rows):
+                        m[i][j] -= q * m[i][r]
+                    if m[r][j]:
+                        for i in range(r, rows):
+                            m[i][r], m[i][j] = m[i][j], m[i][r]
+                        reduced = True
+            if not reduced:
+                break
+        p = abs(m[r][r])
+        fix = None
+        for i in range(r + 1, rows):
+            for j in range(r + 1, cols):
+                if m[i][j] % p:
+                    fix = i
+                    break
+            if fix is not None:
+                break
+        if fix is not None:
+            for c in range(r, cols):
+                m[r][c] += m[fix][c]
+            continue
+        factors.append(p)
+        r += 1
+    return factors
+
+
+def minors_snf(matrix):
+    """Invariant factors by their definition: the k-th determinantal divisor
+    d_k is the gcd of all k x k minors, and the k-th factor is d_k / d_(k-1)."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+
+    @functools.lru_cache(maxsize=None)
+    def minor(rs, cs):  # Laplace expansion along the first row
+        if not rs:
+            return 1
+        return sum((-1) ** k * matrix[rs[0]][c] * minor(rs[1:], cs[:k] + cs[k + 1:])
+                   for k, c in enumerate(cs) if matrix[rs[0]][c])
+
+    factors = []
+    previous = 1
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                d = math.gcd(d, minor(rs, cs))
+        if d == 0:
+            break
+        factors.append(d // previous)
+        previous = d
+    return factors
+
+
+def _relabelled(cx, rng):
+    """The complex with vertices permuted, triangles shuffled and each
+    triangle's vertex list rotated (rotation keeps its orientation)."""
+    perm = list(range(len(cx.vertices)))
+    rng.shuffle(perm)
+    new_of = {old: new for new, old in enumerate(perm)}
+    tris = []
+    for tri in cx.simplices[2]:
+        t = [new_of[v] for v in tri]
+        r = rng.randrange(3)
+        tris.append(tuple(t[r:] + t[:r]))
+    rng.shuffle(tris)
+    return build_complex([cx.vertices[old] for old in perm], tris)
+
+
+def _refined(builder, times):
+    cx = builder()
+    for _ in range(times):
+        cx = meshes.uniform_refine(cx)
+    return cx
+
+
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    values = draw(st.sampled_from([tuple(range(-4, 5)), (-4, -3, -2, 0, 2, 3, 4)]))
+    entries = st.sampled_from(values)
+    return [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
 def test_smith_normal_form_basics():
     assert smith_normal_form([[2, 4], [4, 8]]) == [2]
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
@@ -25,6 +151,42 @@ def test_smith_normal_form_basics():
     factors = smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 4]])
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+
+
+# Under reference_snf the entries of this block grow past 4300 digits.
+@example([[3, -2, -3, 1, -4, 4, -1], [-4, -3, -2, -1, -3, 4, -4],
+          [-3, 0, 0, 1, 3, 3, 1], [0, 1, -3, -3, 1, 3, -4],
+          [-4, -1, 4, -3, -2, 0, 1], [-2, 4, 3, 1, 4, -1, -1],
+          [0, -2, -3, 3, -4, 1, -1]])
+@example([[2, 4, 0], [0, 6, 3]])
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_smith_normal_form_matches_minors(matrix):
+    before = [row[:] for row in matrix]
+    factors = smith_normal_form(matrix)
+    assert matrix == before
+    assert factors == minors_snf(matrix)
+    assert all(type(f) is int for f in factors)
+
+
+def test_smith_normal_form_matches_reference_on_boundaries():
+    rng = random.Random(31)
+    for builder in (meshes.torus, meshes.mobius_strip, meshes.projective_plane):
+        cx = _relabelled(_refined(builder, 2), rng)
+        for k in (1, 2):
+            matrix = cx.boundary_matrix(k).toarray().tolist()
+            assert smith_normal_form(matrix) == reference_snf(matrix)
+
+
+def test_refined_homology():
+    torus = betti_numbers(_refined(meshes.torus, 3))
+    assert torus.betti == (1, 2, 1)
+    assert torus.torsion == ((), (), ())
+    rp2 = betti_numbers(_relabelled(_refined(meshes.projective_plane, 2),
+                                    random.Random(32)))
+    assert rp2.betti == (1, 0, 0)
+    assert rp2.torsion == ((), (2,), ())
+    assert rp2.orientable is False
 
 
 def test_betti_tables():
@@ -71,11 +233,7 @@ def test_winding_cochain_closed_not_exact():
 
 
 def test_rp2_torsion():
-    # minimal six-vertex real projective plane
-    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
-                 (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
-    verts = [(math.cos(1.1 * i), math.sin(1.1 * i), 0.1 * i) for i in range(6)]
-    report = betti_numbers(build_complex(verts, triangles))
+    report = betti_numbers(meshes.projective_plane())
     assert report.betti == (1, 0, 0)
     assert report.torsion == ((), (2,), ())
     assert report.orientable is False
