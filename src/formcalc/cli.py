@@ -239,11 +239,20 @@ def cmd_maxwell_evolve(args) -> int:
 
 
 def cmd_lorentz(args) -> int:
-    field = _load_form(args.field_file)
-    if (_dimension_mismatch("the field", field.ambient_dim, args.metric)
-            or _dimension_mismatch("--velocity", len(args.velocity), args.metric)):
+    field, v, g = _load_form(args.field_file), args.velocity, args.metric
+    if (_dimension_mismatch("the field", field.ambient_dim, g)
+            or _dimension_mismatch("--velocity", len(v), g)):
         return EXIT_USAGE
-    result = lorentz_force(args.charge, args.velocity, field, args.metric)
+    vv = g.inner(v, v)
+    problem = (f"the field must be a 2-form, got degree {field.degree}" if field.degree != 2
+               else "--metric must be Lorentzian" if not g.is_lorentzian
+               else f"--velocity must be timelike, g(V, V) = {vv}" if vv >= 0
+               else f"--velocity must be unit, g(V, V) = {vv} instead of -1" if vv != -1
+               else None)
+    if problem:
+        print("error:", problem, file=sys.stderr)
+        return EXIT_USAGE
+    result = lorentz_force(args.charge, v, field, g)
     print("force covector:", result["covector"])
     print("force vector:", result["vector"])
     print("g(force, velocity):", _fmt(result["orthogonality"]))

@@ -189,61 +189,66 @@ def twist_cochain(omega: Cochain, complex: SimplicialComplex,
 
 
 # -- geometry: volumes, circumcenters, diagonal Hodge -----------------------
+#
+# Both primitives take an (m, k+1, d) stack: the vertex coordinates of m
+# k-simplices.  A metric enters once, through _metric_coords.
 
-def _gram_volume(points: list, g: Metric | None = None) -> float:
-    """Unsigned volume of the simplex with the given vertex coordinates."""
-    if len(points) == 1:
-        return 1.0
-    base = np.asarray(points[0], dtype=float)
-    E = np.asarray(points[1:], dtype=float) - base
-    if g is not None:
-        G = np.array([[float(v) for v in row] for row in g.matrix])
-        gram = E @ G @ E.T
-    else:
-        gram = E @ E.T
-    det = float(np.linalg.det(gram))
-    k = E.shape[0]
-    return math.sqrt(max(det, 0.0)) / math.factorial(k)
+def _volumes(points: np.ndarray) -> np.ndarray:
+    """Unsigned volumes of a stack of simplices, from Gram determinants."""
+    edges = points[:, 1:] - points[:, :1]
+    gram = edges @ edges.transpose(0, 2, 1)
+    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(edges.shape[1])
 
 
-def simplex_volume(complex: SimplicialComplex, degree: int, index: int,
-                   g: Metric | None = None) -> float:
-    pts = [complex.vertices[v] for v in complex.simplices[degree][index]]
-    return _gram_volume(pts, g)
+def _circumcenters(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Circumcenters of a stack of simplices within their affine hulls.
+
+    Returns (centers (m, d), barycentric coordinates (m, k+1))."""
+    edges = points[:, 1:] - points[:, :1]
+    gram = edges @ edges.transpose(0, 2, 1)
+    rhs = 0.5 * np.einsum("mij,mij->mi", edges, edges)
+    lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    centers = points[:, 0] + np.einsum("mi,mij->mj", lam, edges)
+    bary = np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam], axis=1)
+    return centers, bary
+
+
+def _metric_coords(complex: SimplicialComplex, g: Metric | None) -> np.ndarray:
+    """Vertex coordinates in which ``g`` is the Euclidean metric: each row
+    times the Cholesky factor L of g = L L^T."""
+    coords = np.array(complex.vertices, dtype=float)
+    if g is None:
+        return coords
+    if not g.is_riemannian:
+        raise ValueError("simplicial volumes and circumcenters need a Riemannian "
+                         "(positive-definite) metric; there is no Lorentzian "
+                         "diagonal Hodge star on simplicial complexes")
+    return coords @ np.linalg.cholesky(np.array(g.matrix, dtype=float))
+
+
+def _level(coords: np.ndarray, complex: SimplicialComplex, k: int,
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex coordinates and volumes of the k-simplices.
+
+    A simplex whose volume is zero up to rounding raises ValueError: below
+    1e-6 of the product of its edge lengths from its first vertex over k!,
+    the largest volume those edges allow."""
+    points = coords[_vertex_rows(complex.simplices[k], k + 1)]
+    vols = _volumes(points)
+    edges = np.linalg.norm(points[:, 1:] - points[:, :1], axis=2)
+    flat = vols <= 1e-6 * edges.prod(axis=1) / math.factorial(k)
+    if flat.any():
+        raise ValueError(f"degenerate simplex {int(np.argmax(flat))} of degree {k}")
+    return points, vols
 
 
 def measure_from_metric(complex: SimplicialComplex, g: Metric | None = None,
                         ) -> Measure:
     """Twisted top-cochain of cell volumes; integrates to total volume,
     orientable or not."""
-    if g is not None and not g.is_riemannian:
-        raise ValueError("a measure needs a Riemannian metric")
     n = complex.dim
-    vols = [simplex_volume(complex, n, i, g) for i in range(complex.num_simplices(n))]
-    if any(v <= 0 for v in vols):
-        bad = next(i for i, v in enumerate(vols) if v <= 0)
-        raise ValueError(f"degenerate top cell {bad}")
+    _, vols = _level(_metric_coords(complex, g), complex, n)
     return Measure(Cochain(n, tuple(vols), Parity.TWISTED, "float"))
-
-
-def _circumcenter(points: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Circumcenter of a simplex within its affine hull.
-
-    Returns (center, barycentric coordinates)."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    k = len(pts) - 1
-    if k == 0:
-        return pts[0], np.array([1.0])
-    base = pts[0]
-    E = np.stack([p - base for p in pts[1:]])
-    G = E @ E.T
-    rhs = 0.5 * np.einsum("ij,ij->i", E, E)
-    lam = np.linalg.solve(G, rhs)
-    center = base + lam @ E
-    bary = np.empty(k + 1)
-    bary[1:] = lam
-    bary[0] = 1.0 - lam.sum()
-    return center, bary
 
 
 class NotWellCenteredError(ValueError):
@@ -260,11 +265,8 @@ def hodge_diagonal(omega: Cochain, complex: SimplicialComplex,
     """Diagonal (circumcentric-dual) Hodge star on a well-centered mesh.
 
     Value on the dual (n-p)-cell is (dual volume / primal volume) times
-    the primal value; parity flips.  Riemannian metrics only here; the
-    Lorentzian diagonal Hodge lives on rectilinear grids (see grid)."""
-    if g is not None and not g.is_riemannian:
-        raise ValueError("simplicial diagonal Hodge needs a Riemannian metric; "
-                         "use a rectilinear grid for Lorentzian signatures")
+    the primal value; parity flips.  Riemannian metrics only: the
+    circumcentric dual has no Lorentzian form here."""
     ratios = dual_volume_ratios(complex, omega.degree, g)
     vals = tuple(r * float(v) for r, v in zip(ratios, omega.values))
     return Cochain(omega.degree, vals, omega.parity.flip(), "float")
@@ -273,47 +275,38 @@ def hodge_diagonal(omega: Cochain, complex: SimplicialComplex,
 def dual_volume_ratios(complex: SimplicialComplex, degree: int,
                        g: Metric | None = None) -> list[float]:
     """dual (n-p)-volume / primal p-volume per p-simplex; checks
-    well-centeredness and reports the first offending simplex."""
+    well-centeredness and reports the first offending simplex.
+
+    The circumcentric dual of a p-simplex is the union of the simplices
+    spanned by the circumcenters of each flag s_p < s_{p+1} < ... < s_n
+    that starts at it (Hirani, Discrete Exterior Calculus, 2003)."""
     coords = _metric_coords(complex, g)
     n = complex.dim
-    centers: list[list[np.ndarray]] = []
-    for k in range(n + 1):
-        level = []
-        for i, s in enumerate(complex.simplices[k]):
-            c, bary = _circumcenter([coords[v] for v in s])
-            if k > 0 and (bary <= 1e-12).any():
-                raise NotWellCenteredError(k, i)
-            level.append(c)
-        centers.append(level)
-    # cofaces[k][i]: the (k+1)-simplices on simplex i, its row of boundary_matrix(k+1)
-    cofaces = {k: complex.boundary_matrix(k + 1).tolil().rows for k in range(degree, n)}
-
-    def dual_volume(k: int, i: int, chain_pts: list[np.ndarray]) -> float:
-        """Sum of elementary dual volumes over ascending simplex chains."""
-        if k == n:
-            return _gram_volume(chain_pts)
-        return sum((dual_volume(k + 1, up, chain_pts + [centers[k + 1][up]])
-                    for up in cofaces[k][i]), 0.0)
-
-    ratios = []
-    for i, s in enumerate(complex.simplices[degree]):
-        pv = _gram_volume([coords[v] for v in s])
-        if pv == 0:
-            raise ValueError(f"degenerate primal simplex {i} of degree {degree}")
-        ratios.append(dual_volume(degree, i, [centers[degree][i]]) / pv)
-    return ratios
-
-
-def _metric_coords(complex: SimplicialComplex, g: Metric | None) -> list[np.ndarray]:
-    pts = [np.asarray(v, dtype=float) for v in complex.vertices]
-    if g is None:
-        return pts
-    if not g.is_riemannian:
-        raise ValueError("circumcentric dual volumes require a Riemannian "
-                         "(positive-definite) metric")
-    G = np.array([[float(v) for v in row] for row in g.matrix])
-    L = np.linalg.cholesky(G)
-    return [L.T @ p for p in pts]
+    levels = [_level(coords, complex, k) for k in range(n + 1)]
+    centers = []
+    for k, (points, _) in enumerate(levels):
+        level_centers, bary = _circumcenters(points)
+        outside = (bary <= 1e-12).any(axis=1)
+        if outside.any():
+            raise NotWellCenteredError(k, int(np.argmax(outside)))
+        centers.append(level_centers)
+    # flags[f, j]: the (degree + j)-simplex of flag f; extend every flag by
+    # each coface of its last simplex, read off the faces of the level above
+    flags = np.arange(complex.num_simplices(degree))[:, None]
+    for k in range(degree, n):
+        faces = complex.faces[k + 1]
+        cofaces = np.argsort(faces, axis=None, kind="stable") // (k + 2)
+        counts = np.bincount(faces.ravel(), minlength=complex.num_simplices(k))
+        starts = np.cumsum(counts) - counts
+        fan = counts[flags[:, -1]]
+        flags = np.repeat(flags, fan, axis=0)
+        nth = np.arange(len(flags)) - np.repeat(np.cumsum(fan) - fan, fan)
+        flags = np.column_stack([flags, cofaces[starts[flags[:, -1]] + nth]])
+    corners = np.stack([centers[degree + j][flags[:, j]]
+                        for j in range(n - degree + 1)], axis=1)
+    primal = levels[degree][1]
+    dual = np.bincount(flags[:, 0], weights=_volumes(corners), minlength=len(primal))
+    return (dual / primal).tolist()
 
 
 # -- CSV serialization -------------------------------------------------------

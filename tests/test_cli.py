@@ -211,7 +211,16 @@ def test_largest_box_inside_grounded_boundary_runs(outdir, capsys):
     (["hodge", "FORM", "--metric", "diag(1,1)"], "n=4 p=2 parity=straight; [0,1]: 1\n"),
     (["lorentz", "FORM", "--velocity", "1,0"], "n=4 p=2 parity=straight; [0,1]: 2\n"),
     (["lorentz", "FORM", "--velocity", "1,0,0,0"], "n=3 p=2 parity=straight; [0,1]: 2\n"),
-], ids=["hodge-metric", "lorentz-velocity", "lorentz-field"])
+    # the arguments fit the metric's dimension but not the Lorentz force
+    (["lorentz", "FORM", "--velocity", "0,1,0,0"], "n=4 p=2 parity=straight; [0,1]: 2\n"),
+    (["lorentz", "FORM", "--velocity", "2,0,0,0"], "n=4 p=2 parity=straight; [0,1]: 2\n"),
+    (["lorentz", "FORM", "--velocity", "0,0,0,0"], "n=4 p=2 parity=straight; [0,1]: 2\n"),
+    (["lorentz", "FORM", "--velocity", "1,0,0,0"], "n=4 p=1 parity=straight; [0]: 2\n"),
+    (["lorentz", "FORM", "--velocity", "1,0,0,0", "--metric", "diag(-1,-1,1,1)"],
+     "n=4 p=2 parity=straight; [0,1]: 2\n"),
+], ids=["hodge-metric", "lorentz-velocity", "lorentz-field", "lorentz-not-timelike",
+        "lorentz-not-unit", "lorentz-zero-velocity", "lorentz-one-form-field",
+        "lorentz-two-time-axes"])
 def test_dimension_mismatch_is_usage_error(tmp_path, capsys, argv, field):
     form = tmp_path / "form.txt"
     form.write_text(field)

@@ -303,6 +303,143 @@ def test_hodge_diagonal_rejects_bad_inputs():
         dual_volume_ratios(ok, 1, Metric.minkowski(2))
 
 
+# -- reference: the per-simplex circumcentric dual ----------------------------
+
+def _gram_volume(points: list) -> float:
+    """Unsigned volume of the simplex with the given vertex coordinates."""
+    if len(points) == 1:
+        return 1.0
+    E = np.asarray(points[1:], dtype=float) - np.asarray(points[0], dtype=float)
+    return math.sqrt(max(float(np.linalg.det(E @ E.T)), 0.0)) / math.factorial(len(E))
+
+
+def _circumcenter(points: list) -> tuple:
+    """(circumcenter, barycentric coordinates) within the affine hull."""
+    pts = [np.asarray(p, dtype=float) for p in points]
+    if len(pts) == 1:
+        return pts[0], np.array([1.0])
+    E = np.stack([p - pts[0] for p in pts[1:]])
+    lam = np.linalg.solve(E @ E.T, 0.5 * np.einsum("ij,ij->i", E, E))
+    return pts[0] + lam @ E, np.concatenate([[1.0 - lam.sum()], lam])
+
+
+def reference_dual_volume_ratios(cx, degree, g=None):
+    """One simplex at a time: recursive sums over ascending chains of
+    circumcenters, cofaces read off the boundary matrices."""
+    coords = [np.asarray(v, dtype=float) for v in cx.vertices]
+    if g is not None:
+        L = np.linalg.cholesky(np.array([[float(v) for v in row] for row in g.matrix]))
+        coords = [L.T @ p for p in coords]
+    n = cx.dim
+    centers = []
+    for k in range(n + 1):
+        level = []
+        for i, s in enumerate(cx.simplices[k]):
+            c, bary = _circumcenter([coords[v] for v in s])
+            if k > 0 and (bary <= 1e-12).any():
+                raise NotWellCenteredError(k, i)
+            level.append(c)
+        centers.append(level)
+    cofaces = {k: cx.boundary_matrix(k + 1).tolil().rows for k in range(degree, n)}
+
+    def dual_volume(k, i, chain_pts):
+        if k == n:
+            return _gram_volume(chain_pts)
+        return sum((dual_volume(k + 1, up, chain_pts + [centers[k + 1][up]])
+                    for up in cofaces[k][i]), 0.0)
+
+    return [dual_volume(degree, i, [centers[degree][i]])
+            / _gram_volume([coords[v] for v in s])
+            for i, s in enumerate(cx.simplices[degree])]
+
+
+def two_regular_tetrahedra():
+    """Two regular tetrahedra glued on a face, the second apex reflected."""
+    a, b, c, d = (np.array(v, dtype=float) for v in
+                  [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+    centroid = (a + b + c) / 3
+    normal = np.cross(b - a, c - a)
+    normal /= np.linalg.norm(normal)
+    e = d - 2 * np.dot(d - centroid, normal) * normal
+    return build_complex([tuple(v) for v in (a, b, c, d, e)],
+                         [(0, 1, 2, 3), (0, 2, 1, 4)])
+
+
+def _dual_ratios_or_error(ratios, cx, degree, g):
+    try:
+        return ratios(cx, degree, g)
+    except NotWellCenteredError as exc:
+        return ("not well-centred", exc.degree, exc.index)
+
+
+@pytest.mark.parametrize("metric", [False, True], ids=["euclidean", "diag-4-1"])
+@pytest.mark.parametrize("name", ["disk", "sphere", "tetrahedra"])
+def test_dual_volume_ratios_match_per_simplex_reference(name, metric):
+    cx = {"disk": lambda: meshes.uniform_refine(meshes.uniform_refine(meshes.disk())),
+          "sphere": lambda: meshes.uniform_refine(
+              meshes.uniform_refine(meshes.sphere_octahedron())),
+          "tetrahedra": two_regular_tetrahedra}[name]()
+    d = cx.embedding_dim()
+    g = Metric.diag(4, *[1] * (d - 1)) if metric else None
+    for degree in range(cx.dim + 1):
+        want = _dual_ratios_or_error(reference_dual_volume_ratios, cx, degree, g)
+        got = _dual_ratios_or_error(dual_volume_ratios, cx, degree, g)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cx", [
+    build_complex([(0.0, 0.0), (4.0, 0.0), (2.0, 0.2)], [(0, 1, 2)]),
+    # one obtuse face (0, 1, 2) on an otherwise fine tetrahedron
+    build_complex([(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (2.0, 0.2, 0.0), (2.0, 1.0, 3.0),
+                   (2.0, -2.0, 2.0)], [(0, 1, 3, 4), (0, 1, 2, 3)]),
+], ids=["obtuse-triangle", "tetrahedra-one-obtuse-face"])
+def test_not_well_centered_error_matches_reference(cx):
+    for degree in range(cx.dim + 1):
+        with pytest.raises(NotWellCenteredError) as want:
+            reference_dual_volume_ratios(cx, degree)
+        with pytest.raises(NotWellCenteredError) as got:
+            dual_volume_ratios(cx, degree)
+        assert (got.value.degree, got.value.index) == (want.value.degree, want.value.index)
+
+
+@pytest.mark.parametrize("points", [
+    [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 1.0)],
+    [(0.0, 0.0), (0.1, 0.1), (0.3, 0.3), (0.02, 0.12)],
+], ids=["exactly-collinear", "collinear-up-to-rounding"])
+def test_degenerate_simplex_is_named(points):
+    cx = build_complex(points, [(0, 1, 3), (0, 1, 2)])
+    for degree in range(3):
+        with pytest.raises(ValueError, match="degenerate simplex 1 of degree 2"):
+            dual_volume_ratios(cx, degree)
+    with pytest.raises(ValueError, match="degenerate simplex 1 of degree 2"):
+        measure_from_metric(cx)
+
+
+def test_measure_from_anisotropic_metric():
+    cx = meshes.single_triangle()
+    assert math.isclose(measure_from_metric(cx, Metric.diag(4, 9)).total(cx), 3.0,
+                        rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("A", [((2, 0), (0, 1)), ((1, 1), (0, 1))], ids=["stretch", "shear"])
+def test_dual_ratios_under_metric_match_mapped_mesh(A):
+    # the metric g = A^T A measures the mesh as the Euclidean metric measures
+    # its image under A: here two equilateral triangles, well-centred
+    s = math.sqrt(3) / 2
+    image = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, s), (0.5, -s)])
+    A = np.array(A, dtype=float)
+    tops = [(0, 1, 2), (0, 1, 3)]
+    cx = build_complex(image @ np.linalg.inv(A).T, tops)
+    g = Metric(tuple(tuple(int(v) for v in row) for row in A.T @ A))
+    for degree in range(3):
+        np.testing.assert_allclose(dual_volume_ratios(cx, degree, g),
+                                   dual_volume_ratios(build_complex(image, tops), degree),
+                                   rtol=1e-12, atol=0)
+
+
 def test_cochain_csv_round_trip():
     c = Cochain(1, (Fraction(1, 3), Fraction(-2), Fraction(0)),
                 Parity.TWISTED, "exact")
