@@ -14,26 +14,9 @@ import numpy as np
 
 from formcalc.forms import PolyForm
 from formcalc.grid import RectGrid
-from formcalc.maxwell import EMState, PointCharge, evolve_leapfrog, lorentz_force
+from formcalc.maxwell import (EMState, PointCharge, evolve_leapfrog, lorentz_force,
+                              plane_wave_error)
 from formcalc.metric import Metric
-
-
-def plane_wave_error(n):
-    h = 1.0 / n
-    grid = RectGrid((n, 1, 1), (h, 1.0, 1.0))
-    state = EMState.zeros(grid)
-    dt = 0.5 * state.cfl_limit()
-    steps = int(round(1.0 / dt))
-    dt = 1.0 / steps
-    k = 2.0 * math.pi
-    x_e = (np.arange(n) * h).reshape(n, 1, 1)
-    x_b = ((np.arange(n) + 0.5) * h).reshape(n, 1, 1)
-    state.E[2][:] = np.cos(k * x_e)
-    state.B[1][:] = -np.cos(k * (x_b + dt / 2.0))
-    evolve_leapfrog(state, steps, dt)
-    exact = np.cos(k * (x_e - state.time))
-    err = math.sqrt(float(np.sum((state.E[2] - exact) ** 2)) * h)
-    return err, max(state.diagnostics["max_divB"])
 
 
 print("plane-wave convergence (one period):")

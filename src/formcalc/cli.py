@@ -29,9 +29,10 @@ from .cohomology import betti_numbers, is_closed, is_exact, winding_cochain
 from .forms import PolyForm, form_from_text, form_to_text
 from .grid import RectGrid, box_node_set
 from .maxwell import (
-    EMState,
     evolve_leapfrog,
     lorentz_force,
+    plane_wave,
+    plane_wave_error,
     solve_electrostatics,
     solve_magnetostatics,
 )
@@ -194,35 +195,8 @@ def cmd_maxwell_static_b(args) -> int:
         "circulation", "magnetostatics_circulation.csv")
 
 
-def _plane_wave_state(n: int) -> tuple[EMState, float, int]:
-    """Periodic travelling wave Ez = cos(k(x - t)), By = -cos(k(x - t))."""
-    h = 1.0 / n
-    grid = RectGrid((n, 1, 1), (h, 1.0, 1.0))
-    state = EMState.zeros(grid)
-    dt = 0.5 * state.cfl_limit()
-    steps = int(round(1.0 / dt))
-    dt = 1.0 / steps
-    k = 2.0 * math.pi
-    x_e = (np.arange(n) * h).reshape(n, 1, 1)
-    x_b = ((np.arange(n) + 0.5) * h).reshape(n, 1, 1)
-    state.E[2][:] = np.cos(k * x_e)
-    state.B[1][:] = -np.cos(k * (x_b + dt / 2.0))  # staggered at t = -dt/2
-    return state, dt, steps
-
-
-def _plane_wave_error(n: int) -> tuple[float, float]:
-    state, dt, steps = _plane_wave_state(n)
-    evolve_leapfrog(state, steps, dt)
-    k = 2.0 * math.pi
-    h = 1.0 / n
-    x_e = (np.arange(n) * h).reshape(n, 1, 1)
-    exact = np.cos(k * (x_e - state.time))
-    err = math.sqrt(float(np.sum((state.E[2] - exact) ** 2)) * h)
-    return err, max(state.diagnostics["max_divB"])
-
-
 def cmd_maxwell_evolve(args) -> int:
-    state, dt, steps = _plane_wave_state(args.cells)
+    state, dt, steps = plane_wave(args.cells)
     if args.steps:
         steps = args.steps
     evolve_leapfrog(state, steps, dt)
@@ -345,7 +319,7 @@ def demo_plane_wave() -> bool:
     errors = []
     worst_divb = 0.0
     for n in (64, 128, 256):
-        err, divb = _plane_wave_error(n)
+        err, divb = plane_wave_error(n)
         errors.append(err)
         worst_divb = max(worst_divb, divb)
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]

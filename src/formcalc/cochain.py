@@ -223,6 +223,9 @@ def _metric_coords(complex: SimplicialComplex, g: Metric | None) -> np.ndarray:
         raise ValueError("simplicial volumes and circumcenters need a Riemannian "
                          "(positive-definite) metric; there is no Lorentzian "
                          "diagonal Hodge star on simplicial complexes")
+    if g.dim != coords.shape[1]:
+        raise ValueError(f"metric dimension {g.dim} does not match the "
+                         f"{coords.shape[1]}-dimensional vertex coordinates")
     return coords @ np.linalg.cholesky(np.array(g.matrix, dtype=float))
 
 

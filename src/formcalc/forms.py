@@ -326,10 +326,6 @@ def pair(w: PolyForm, V: PolyVectorField) -> Poly:
     return w.pair(V)
 
 
-def vector_on_scalar(V: PolyVectorField, f) -> Poly:
-    return V.apply_to_scalar(f)
-
-
 def interior_product(V: PolyVectorField, w: PolyForm) -> PolyForm:
     return w.interior(V)
 

@@ -106,8 +106,7 @@ def solve_magnetostatics(grid: RectGrid, current_per_node: np.ndarray,
     if grid.dim != 2:
         raise ValueError("magnetostatics solver works on the transverse 2-dim grid")
     j = np.asarray(current_per_node, dtype=float).ravel()
-    mu_arr = mu if np.isscalar(mu) else np.asarray(mu, dtype=float)
-    inv_mu = (1.0 / mu_arr) if np.isscalar(mu) else 1.0 / mu_arr
+    inv_mu = 1.0 / np.asarray(mu, dtype=float)
     sol = solve_poisson_grounded(grid, j, inv_mu, tol=tol)
     return MagnetostaticsResult(sol, grid)
 
@@ -153,33 +152,36 @@ class EMState:
 
     def div_B(self) -> np.ndarray:
         """Discrete dB on the 3-cells; conserved to round-off."""
-        h = self.grid.spacing
-        out = np.zeros(self.grid.shape)
-        for d in range(3):
-            out += (np.roll(self.B[d], -1, axis=d) - self.B[d]) / h[d]
-        return out
+        return _div(self.B, self.grid.spacing)
 
     def div_D(self) -> np.ndarray:
         """Discrete dD on the dual cells (per node, stored per cell index)."""
-        h = self.grid.spacing
-        out = np.zeros(self.grid.shape)
-        for d in range(3):
-            out += self.eps * (self.E[d] - np.roll(self.E[d], 1, axis=d)) / h[d]
-        return out
+        return self.eps * _div(self.E, self.grid.spacing, dual=True)
 
 
-def _curl(fields: list, spacing: tuple, forward: bool) -> list:
-    out = []
-    for d in range(3):
-        a, b = (d + 1) % 3, (d + 2) % 3
-        if forward:
-            da = (np.roll(fields[b], -1, axis=a) - fields[b]) / spacing[a]
-            db = (np.roll(fields[a], -1, axis=b) - fields[a]) / spacing[b]
-        else:
-            da = (fields[b] - np.roll(fields[b], 1, axis=a)) / spacing[a]
-            db = (fields[a] - np.roll(fields[a], 1, axis=b)) / spacing[b]
-        out.append(da - db)
+# The periodic d along one axis takes an edge value a[i+1] - a[i] to cell i
+# of the primal lattice; on the dual lattice, whose cell i sits one half
+# step below, the same difference lands at i + 1 (the dual d is minus the
+# transpose of the primal one).  curl is d on 1-forms, div is d on 2-forms.
+
+def _diff(a: np.ndarray, axis: int, h: tuple, dual: bool = False) -> np.ndarray:
+    src = np.moveaxis(a, axis, 0)
+    out = np.empty_like(a)
+    dst = np.moveaxis(out, axis, 0)
+    body, wrap = (dst[1:], dst[0]) if dual else (dst[:-1], dst[-1])
+    np.subtract(src[1:], src[:-1], out=body)
+    np.subtract(src[0], src[-1], out=wrap)
+    out /= h[axis]
     return out
+
+
+def _curl(fields: list, h: tuple, dual: bool = False) -> list:
+    return [_diff(fields[(d + 2) % 3], (d + 1) % 3, h, dual)
+            - _diff(fields[(d + 1) % 3], (d + 2) % 3, h, dual) for d in range(3)]
+
+
+def _div(fields: list, h: tuple, dual: bool = False) -> np.ndarray:
+    return sum(_diff(f, d, h, dual) for d, f in enumerate(fields))
 
 
 def evolve_leapfrog(state: EMState, steps: int, dt: float,
@@ -195,33 +197,59 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
     if state.eps <= 0 or state.mu <= 0:
         raise ValueError("material coefficients must be positive")
     h = state.grid.spacing
+    hmin, cellvol = min(h), float(np.prod(h))
     for step in range(steps):
-        curl_e = _curl(state.E, h, forward=True)
-        for d in range(3):
-            state.B[d] -= dt * curl_e[d]
-        H = [b / state.mu for b in state.B]
-        curl_h = _curl(H, h, forward=False)
+        for b, curl_e in zip(state.B, _curl(state.E, h)):
+            b -= dt * curl_e
+        curl_h = _curl(state.B, h, dual=True)
         J = None
         if sources is not None:
             J, drho = sources(step)
             if state.rho is not None and drho is not None:
                 state.rho += drho
         for d in range(3):
-            state.E[d] += (dt / state.eps) * curl_h[d]
+            state.E[d] += (dt / (state.eps * state.mu)) * curl_h[d]
             if J is not None:
                 state.E[d] -= (dt / state.eps) * J[d]
         state.time += dt
         state.diagnostics["time"].append(state.time)
         state.diagnostics["energy"].append(state.energy())
         scale = max(float(max(np.abs(b).max() for b in state.B)), 1e-300)
-        hmin = min(h)
         state.diagnostics["max_divB"].append(
             float(np.abs(state.div_B()).max()) * hmin / scale)
         if state.rho is not None:
-            gauss = state.div_D() - state.rho / float(np.prod(h))
+            gauss = state.div_D() - state.rho / cellvol
             state.diagnostics["gauss_residual"].append(float(np.abs(gauss).max()))
     return state
 
+
+def plane_wave(n: int) -> tuple[EMState, float, int]:
+    """Periodic travelling wave Ez = cos(k(x - t)), By = -cos(k(x - t)) on n
+    cells along x; returns (state, dt, number of steps in one period)."""
+    h = 1.0 / n
+    grid = RectGrid((n, 1, 1), (h, 1.0, 1.0))
+    state = EMState.zeros(grid)
+    dt = 0.5 * state.cfl_limit()
+    steps = int(round(1.0 / dt))
+    dt = 1.0 / steps
+    k = 2.0 * math.pi
+    x_e = (np.arange(n) * h).reshape(n, 1, 1)
+    x_b = ((np.arange(n) + 0.5) * h).reshape(n, 1, 1)
+    state.E[2][:] = np.cos(k * x_e)
+    state.B[1][:] = -np.cos(k * (x_b + dt / 2.0))  # staggered at t = -dt/2
+    return state, dt, steps
+
+
+def plane_wave_error(n: int) -> tuple[float, float]:
+    """Evolve ``plane_wave(n)`` for one period; returns the L2 error of Ez
+    and the largest relative |dB| seen."""
+    state, dt, steps = plane_wave(n)
+    evolve_leapfrog(state, steps, dt)
+    h = 1.0 / n
+    x_e = (np.arange(n) * h).reshape(n, 1, 1)
+    exact = np.cos(2.0 * math.pi * (x_e - state.time))
+    err = math.sqrt(float(np.sum((state.E[2] - exact) ** 2)) * h)
+    return err, max(state.diagnostics["max_divB"])
 
 # -- charge-conserving deposition ---------------------------------------------
 

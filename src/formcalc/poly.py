@@ -69,11 +69,6 @@ class Poly:
             raise ValueError("polynomial is not constant")
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     # -- arithmetic ---------------------------------------------------
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):

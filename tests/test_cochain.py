@@ -424,6 +424,18 @@ def test_measure_from_anisotropic_metric():
                         rel_tol=1e-12)
 
 
+
+@pytest.mark.parametrize("g", [Metric.diag(1, 1, 1), Metric.diag(4)], ids=["3-dim", "1-dim"])
+def test_metric_dimension_mismatch_is_named(g):
+    cx = meshes.single_triangle()
+    message = f"metric dimension {g.dim} does not match the 2-dimensional vertex coordinates"
+    with pytest.raises(ValueError, match=message):
+        dual_volume_ratios(cx, 1, g)
+    with pytest.raises(ValueError, match=message):
+        hodge_diagonal(Cochain(1, (1.0, 2.0, 3.0), Parity.STRAIGHT, "float"), cx, g)
+    with pytest.raises(ValueError, match=message):
+        measure_from_metric(cx, g)
+
 @pytest.mark.parametrize("A", [((2, 0), (0, 1)), ((1, 1), (0, 1))], ids=["stretch", "shear"])
 def test_dual_ratios_under_metric_match_mapped_mesh(A):
     # the metric g = A^T A measures the mesh as the Euclidean metric measures

@@ -13,9 +13,13 @@ from formcalc.maxwell import (
     FIELD_DICTIONARY,
     EMState,
     PointCharge,
+    _curl,
+    _diff,
+    _div,
     charge_conservation_check,
     evolve_leapfrog,
     lorentz_force,
+    plane_wave,
     solve_electrostatics,
     solve_magnetostatics,
     validate_dictionary,
@@ -91,48 +95,104 @@ def test_magnetostatics_ampere():
     assert abs(result.circulation_around(off.ravel())) < 0.02
 
 
-def plane_wave_state(n):
-    h = 1.0 / n
-    grid = RectGrid((n, 1, 1), (h, 1.0, 1.0))
-    state = EMState.zeros(grid)
-    dt = 0.5 * state.cfl_limit()
-    steps = int(round(1.0 / dt))
-    dt = 1.0 / steps
-    k = 2.0 * math.pi
-    x_e = (np.arange(n) * h).reshape(n, 1, 1)
-    x_b = ((np.arange(n) + 0.5) * h).reshape(n, 1, 1)
-    state.E[2][:] = np.cos(k * x_e)
-    state.B[1][:] = -np.cos(k * (x_b + dt / 2.0))
-    return state, dt, steps, x_e, k
-
-
 def test_leapfrog_second_order():
     errors = []
     for n in (32, 64):
-        state, dt, steps, x_e, k = plane_wave_state(n)
+        state, dt, steps = plane_wave(n)
         evolve_leapfrog(state, steps, dt)
-        exact = np.cos(k * (x_e - state.time))
+        x = np.arange(n).reshape(n, 1, 1) / n
+        exact = np.cos(2.0 * math.pi * (x - state.time))
         errors.append(float(np.abs(state.E[2] - exact).max()))
     assert math.log2(errors[0] / errors[1]) > 1.8
 
 
 def test_leapfrog_div_b_conserved():
-    state, dt, steps, _, _ = plane_wave_state(32)
+    state, dt, steps = plane_wave(32)
     evolve_leapfrog(state, steps, dt)
     assert max(state.diagnostics["max_divB"]) <= 1e-12
 
 
 def test_leapfrog_energy_bounded():
-    state, dt, steps, _, _ = plane_wave_state(32)
+    state, dt, steps = plane_wave(32)
     evolve_leapfrog(state, 2000, dt)
     energies = state.diagnostics["energy"]
     assert max(energies) / min(energies) < 1.001
 
 
 def test_cfl_enforced():
-    state, dt, _, _, _ = plane_wave_state(16)
+    state, dt, _ = plane_wave(16)
     with pytest.raises(ValueError, match="CFL"):
         evolve_leapfrog(state, 1, 10 * state.cfl_limit())
+
+
+# Reference stencils written with np.roll, one per operator: _curl, div_B
+# and div_D must reproduce them bit for bit.
+
+def roll_curl(fields, h, forward):
+    out = []
+    for d in range(3):
+        a, b = (d + 1) % 3, (d + 2) % 3
+        if forward:
+            da = (np.roll(fields[b], -1, axis=a) - fields[b]) / h[a]
+            db = (np.roll(fields[a], -1, axis=b) - fields[a]) / h[b]
+        else:
+            da = (fields[b] - np.roll(fields[b], 1, axis=a)) / h[a]
+            db = (fields[a] - np.roll(fields[a], 1, axis=b)) / h[b]
+        out.append(da - db)
+    return out
+
+
+def roll_div(fields, h, forward):
+    out = np.zeros(fields[0].shape)
+    for d in range(3):
+        if forward:
+            out += (np.roll(fields[d], -1, axis=d) - fields[d]) / h[d]
+        else:
+            out += (fields[d] - np.roll(fields[d], 1, axis=d)) / h[d]
+    return out
+
+
+def same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3), (2, 1, 3), (6, 1, 1)])
+def test_one_d_matches_roll_stencils_bitwise(shape):
+    h = (0.7, 1.1, 0.4)
+    rng = np.random.default_rng(11)
+    state = EMState.zeros(RectGrid(shape, h))
+    for f in state.E + state.B:
+        f[:] = rng.standard_normal(shape)
+    for dual in (False, True):
+        got = _curl(state.B, h, dual=dual)
+        want = roll_curl(state.B, h, forward=not dual)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+    assert same_bits(state.div_B(), roll_div(state.B, h, forward=True))
+    assert same_bits(state.div_D(), roll_div(state.E, h, forward=False))
+
+
+def integer_fields(rng, shape, count):
+    return [rng.integers(-9, 10, shape).astype(float) for _ in range(count)]
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3), (2, 1, 3), (6, 1, 1)])
+def test_one_d_exact_identities(shape):
+    h = (1.0, 1.0, 1.0)
+    rng = np.random.default_rng(5)
+    (phi,) = integer_fields(rng, shape, 1)
+    E, B = integer_fields(rng, shape, 3), integer_fields(rng, shape, 3)
+    for dual in (False, True):
+        # d d = 0 on 0-forms and on 1-forms, on either lattice
+        assert not _div(_curl(E, h, dual), h, dual).any()
+        grad = [_diff(phi, d, h, dual) for d in range(3)]
+        assert not any(c.any() for c in _curl(grad, h, dual))
+    # the dual d is minus the transpose of the primal d
+    assert (sum(float(np.sum(c * b)) for c, b in zip(_curl(E, h), B))
+            == sum(float(np.sum(e * c)) for e, c in zip(E, _curl(B, h, dual=True))))
+    grad = [_diff(phi, d, h) for d in range(3)]
+    assert (float(np.sum(phi * _div(E, h, dual=True)))
+            == -sum(float(np.sum(g * e)) for g, e in zip(grad, E)))
 
 
 def test_point_charge_deposition_conserves_charge():
