@@ -344,6 +344,8 @@ def cochain_from_csv(text: str) -> Cochain:
                 idx = int(idx_text)
                 if idx < 0:
                     raise ValueError("simplex_index must not be negative")
+                if idx in rows:
+                    raise ValueError(f"simplex_index {idx} given twice")
                 rows[idx] = value(val_text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MeshFormatError(lineno, f"cannot parse {line!r}: {exc}") from exc

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from .exact import det, perm_sign
 from .metric import Metric, metric_dual_vector
 from .parity import Parity
-from .poly import Poly, _as_fraction, parse_poly
+from .poly import Poly, _accumulate, parse_poly
 from .simplicial import MeshFormatError
 
 
@@ -29,7 +29,10 @@ def _coerce_poly(nvars: int, value) -> Poly:
 
 @dataclass(frozen=True)
 class PolyForm:
-    """Degree-p form on n-space with polynomial coefficients."""
+    """Degree-p form on n-space with polynomial coefficients.
+
+    The constructor checks every index set and coefficient; results of the
+    operations below are built by ``_trusted``, which does not."""
 
     ambient_dim: int
     degree: int
@@ -47,10 +50,17 @@ class PolyForm:
                 raise ValueError(f"index set {idx} has wrong size for degree {p}")
             if list(idx) != sorted(set(idx)) or (idx and not (0 <= idx[0] and idx[-1] < n)):
                 raise ValueError(f"index set {idx} must be strictly increasing in range")
-            coeff = _coerce_poly(n, coeff)
-            if not coeff.is_zero():
-                clean[idx] = clean.get(idx, Poly.zero(n)) + coeff
-        object.__setattr__(self, "terms", {i: c for i, c in clean.items() if not c.is_zero()})
+            _accumulate(clean, idx, _coerce_poly(n, coeff))
+        object.__setattr__(self, "terms", {i: c for i, c in clean.items() if c.terms})
+
+    @classmethod
+    def _trusted(cls, n: int, p: int, terms: dict, parity: Parity) -> "PolyForm":
+        """Wrap strictly increasing index sets mapped to Polys, built by this
+        package; only zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self.__dict__.update(ambient_dim=n, degree=p, parity=parity,
+                             terms={i: c for i, c in terms.items() if c.terms})
+        return self
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -84,8 +94,8 @@ class PolyForm:
             raise ValueError("cannot add forms of different twistedness")
         out = dict(self.terms)
         for idx, c in other.terms.items():
-            out[idx] = out.get(idx, Poly.zero(self.ambient_dim)) + c
-        return PolyForm(self.ambient_dim, self.degree, out, self.parity)
+            _accumulate(out, idx, c)
+        return PolyForm._trusted(self.ambient_dim, self.degree, out, self.parity)
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + other.scale(-1)
@@ -96,8 +106,8 @@ class PolyForm:
     def scale(self, scalar) -> "PolyForm":
         """Multiply by a scalar field (polynomial or rational constant)."""
         s = _coerce_poly(self.ambient_dim, scalar)
-        return PolyForm(self.ambient_dim, self.degree,
-                        {idx: s * c for idx, c in self.terms.items()}, self.parity)
+        return PolyForm._trusted(self.ambient_dim, self.degree,
+                                 {idx: s * c for idx, c in self.terms.items()}, self.parity)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyForm):
@@ -123,11 +133,10 @@ class PolyForm:
         for ia, ca in self.terms.items():
             for ib, cb in other.terms.items():
                 sign = perm_sign(ia + ib)
-                if sign == 0:
-                    continue
-                idx = tuple(sorted(ia + ib))
-                out[idx] = out.get(idx, Poly.zero(n)) + sign * ca * cb
-        return PolyForm(n, p, out, parity)
+                if sign:
+                    c = ca * cb
+                    _accumulate(out, tuple(sorted(ia + ib)), c if sign > 0 else -c)
+        return PolyForm._trusted(n, p, out, parity)
 
     def d(self) -> "PolyForm":
         """Exterior derivative; parity preserved, d(d(w)) = 0."""
@@ -137,15 +146,11 @@ class PolyForm:
         out: dict = {}
         for idx, coeff in self.terms.items():
             for i in range(n):
-                dc = coeff.diff(i)
-                if dc.is_zero():
-                    continue
                 sign = perm_sign((i,) + idx)
-                if sign == 0:
-                    continue
-                merged = tuple(sorted((i,) + idx))
-                out[merged] = out.get(merged, Poly.zero(n)) + sign * dc
-        return PolyForm(n, self.degree + 1, out, self.parity)
+                if sign:
+                    dc = coeff.diff(i)
+                    _accumulate(out, tuple(sorted((i,) + idx)), dc if sign > 0 else -dc)
+        return PolyForm._trusted(n, self.degree + 1, out, self.parity)
 
     def interior(self, V: "PolyVectorField") -> "PolyForm":
         """Contraction by a vector field; degree drops, parity multiplies."""
@@ -153,16 +158,13 @@ class PolyForm:
             return PolyForm.zero(self.ambient_dim, 0, self.parity * V.parity)
         if V.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        n = self.ambient_dim
         out: dict = {}
         for idx, coeff in self.terms.items():
             for j, i in enumerate(idx):
-                comp = V.components[i]
-                if comp.is_zero():
-                    continue
-                rest = idx[:j] + idx[j + 1:]
-                out[rest] = out.get(rest, Poly.zero(n)) + ((-1) ** j) * comp * coeff
-        return PolyForm(n, self.degree - 1, out, self.parity * V.parity)
+                term = V.components[i] * coeff
+                _accumulate(out, idx[:j] + idx[j + 1:], -term if j % 2 else term)
+        return PolyForm._trusted(self.ambient_dim, self.degree - 1, out,
+                                 self.parity * V.parity)
 
     def pullback(self, phi: Sequence[Poly]) -> "PolyForm":
         """Pullback along the polynomial map u -> phi(u) into this form's space.
@@ -178,14 +180,14 @@ class PolyForm:
         if self.degree > m:
             return PolyForm.zero(m, m, self.parity)
         # phi* dx_i as a 1-form on the domain
-        dphi = [PolyForm(m, 1, {(j,): phi[i].diff(j) for j in range(m)})
-                for i in range(n)]
+        dphi = [PolyForm._trusted(m, 1, {(j,): phi[i].diff(j) for j in range(m)},
+                                  Parity.STRAIGHT) for i in range(n)]
         result = PolyForm.zero(m, self.degree, self.parity)
         for idx, coeff in self.terms.items():
-            term = PolyForm.scalar(m, coeff.subs(list(phi)))
+            term = PolyForm._trusted(m, 0, {(): coeff.subs(list(phi))}, self.parity)
             for i in idx:
                 term = term.wedge(dphi[i])
-            result = result + PolyForm(m, term.degree, term.terms, self.parity)
+            result = result + term
         return result
 
     def hodge(self, g: Metric) -> "PolyForm":
@@ -208,9 +210,8 @@ class PolyForm:
                 if d == 0:
                     continue
                 comp = tuple(i for i in full if i not in K)
-                sign = perm_sign(K + comp)
-                out[comp] = out.get(comp, Poly.zero(n)) + (scale * d * sign) * coeff
-        return PolyForm(n, n - p, out, self.parity.flip())
+                _accumulate(out, comp, coeff * (scale * d * perm_sign(K + comp)))
+        return PolyForm._trusted(n, n - p, out, self.parity.flip())
 
     # -- pairings -------------------------------------------------------
     def pair(self, V: "PolyVectorField") -> Poly:
@@ -276,8 +277,7 @@ class PolyVectorField:
     @staticmethod
     def constant(values: Sequence, parity: Parity = Parity.STRAIGHT) -> "PolyVectorField":
         n = len(values)
-        return PolyVectorField(n, tuple(Poly.constant(n, _as_fraction(v)) for v in values),
-                               parity)
+        return PolyVectorField(n, tuple(Poly.constant(n, v) for v in values), parity)
 
     @staticmethod
     def basis(n: int, i: int, parity: Parity = Parity.STRAIGHT) -> "PolyVectorField":
@@ -298,7 +298,7 @@ class PolyVectorField:
             for j in range(n):
                 c = c + g.matrix[i][j] * self.components[j]
             terms[(i,)] = c
-        return PolyForm(n, 1, terms, self.parity)
+        return PolyForm._trusted(n, 1, terms, self.parity)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
@@ -368,6 +368,8 @@ def form_from_text(text: str) -> PolyForm:
                 raise ValueError(f"bad term {chunk!r}")
             inner = idx_text[1:-1].strip()
             idx = tuple(int(t) for t in inner.split(",")) if inner else ()
+            if idx in terms:
+                raise ValueError(f"index set {idx_text} given twice")
             terms[idx] = parse_poly(poly_text.strip(), n)
         return PolyForm(n, p, terms, parity)
     except (ValueError, IndexError, ZeroDivisionError) as exc:

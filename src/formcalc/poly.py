@@ -9,38 +9,53 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
+from operator import add
 from typing import Iterable, Mapping
 
 
 def _as_fraction(x) -> Fraction:
+    """The one exact-mode entry check: rationals pass, anything else
+    (floats included) raises TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, Rational):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
+    raise TypeError(f"cannot use {type(x).__name__} {x!r} as an exact value")
+
+
+def _accumulate(out: dict, key, value) -> None:
+    """``out[key] += value``, without a zero to start a missing key from."""
+    old = out.get(key)
+    out[key] = value if old is None else old + value
 
 
 class Poly:
-    """Immutable polynomial over Q in ``nvars`` variables x0..x{n-1}."""
+    """Immutable polynomial over Q in ``nvars`` variables x0..x{n-1}.
+
+    The constructor checks every exponent and coefficient; results of the
+    arithmetic below are built by ``_trusted``, which does not."""
 
     __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
         self.nvars = int(nvars)
         clean = {}
-        if terms:
-            for exps, c in terms.items():
-                c = _as_fraction(c)
-                if c == 0:
-                    continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != self.nvars or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps} for {self.nvars} variables")
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        for exps, c in (terms or {}).items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != self.nvars or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent tuple {exps} for {self.nvars} variables")
+            _accumulate(clean, exps, _as_fraction(c))
+        self.terms = {e: c for e, c in clean.items() if c}
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Poly":
+        """Wrap canonical exponent tuples mapped to Fractions, built by this
+        package; only zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self.nvars, self._hash = nvars, None
+        self.terms = {e: c for e, c in terms.items() if c}
+        return self
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -81,13 +96,13 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.nvars, out)
+            _accumulate(out, e, c)
+        return Poly._trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -96,13 +111,15 @@ class Poly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            c = _as_fraction(other)
+            return Poly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
         other = self._coerce(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
+                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+        return Poly._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -131,13 +148,10 @@ class Poly:
     def diff(self, i: int) -> "Poly":
         out = {}
         for exps, c in self.terms.items():
-            if exps[i] == 0:
-                continue
-            e = list(exps)
-            k = e[i]
-            e[i] = k - 1
-            out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c * k
-        return Poly(self.nvars, out)
+            k = exps[i]
+            if k:
+                out[exps[:i] + (k - 1,) + exps[i + 1:]] = c * k
+        return Poly._trusted(self.nvars, out)
 
     def eval(self, point: Iterable) -> Fraction:
         point = [_as_fraction(x) for x in point]
@@ -160,7 +174,7 @@ class Poly:
             raise ValueError("replacement polynomials disagree on variable count")
         total = Poly.zero(m)
         for exps, c in self.terms.items():
-            term = Poly.constant(m, c)
+            term = Poly._trusted(m, {(0,) * m: c})
             for r, e in zip(replacements, exps):
                 for _ in range(e):
                     term = term * r

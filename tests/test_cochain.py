@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formcalc import meshes
 from formcalc.cochain import (
@@ -25,7 +27,7 @@ from formcalc.cochain import (
 from formcalc.exact import perm_sign
 from formcalc.metric import Metric
 from formcalc.parity import Parity
-from formcalc.simplicial import Chain, boundary, build_complex
+from formcalc.simplicial import Chain, MeshFormatError, boundary, build_complex
 
 
 def frac_cochain(cx, degree, values, parity=Parity.STRAIGHT):
@@ -458,3 +460,23 @@ def test_cochain_csv_round_trip():
     text = cochain_to_csv(c)
     assert cochain_from_csv(text) == c
     assert cochain_to_csv(cochain_from_csv(text)) == text
+
+
+def test_cochain_csv_rejects_repeated_simplex_index():
+    text = "# degree=0 parity=straight mode=exact\nsimplex_index,value\n0,1\n1,2\n0,3\n"
+    with pytest.raises(MeshFormatError, match="line 5.*simplex_index 0 given twice"):
+        cochain_from_csv(text)
+
+
+exact_values = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+float_values = st.floats(allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(st.just("exact"), st.lists(exact_values, max_size=8)),
+                 st.tuples(st.just("float"), st.lists(float_values, max_size=8))),
+       st.integers(0, 3), st.sampled_from(list(Parity)))
+def test_cochain_csv_round_trip_property(mode_values, degree, parity):
+    mode, values = mode_values
+    c = Cochain(degree, tuple(values), parity, mode)
+    assert cochain_from_csv(cochain_to_csv(c)) == c

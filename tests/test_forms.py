@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from formcalc.cochain import Cochain
 from formcalc.forms import (
     PolyForm,
     PolyVectorField,
@@ -15,6 +19,7 @@ from formcalc.forms import (
 from formcalc.metric import Metric
 from formcalc.parity import Parity
 from formcalc.poly import Poly, parse_poly
+from formcalc.simplicial import MeshFormatError
 
 
 def random_poly(rng, n, max_degree=2):
@@ -205,3 +210,115 @@ def test_degree_mismatch_rejected():
 def test_parse_poly_rejects_variable_out_of_range(text):
     with pytest.raises(ValueError, match="outside x0..x2"):
         parse_poly(text, 3)
+
+
+def test_form_text_rejects_repeated_index_set():
+    with pytest.raises(MeshFormatError, match=r"index set \[0\] given twice"):
+        form_from_text("n=2 p=1; [0]: 1; [0]: 2")
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: Poly(2, {(0, 0): 0.1}), "0.1"),
+    (lambda: PolyForm.scalar(2, 0.5), "0.5"),
+    (lambda: Cochain(0, (0.5,), mode="exact"), "0.5"),
+    (lambda: Metric.diag(0.5, 1), "0.5"),
+], ids=["poly", "form", "cochain", "metric"])
+def test_exact_mode_rejects_floats(build, value):
+    with pytest.raises(TypeError, match=f"float {value} as an exact value"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_poly("x0^-1", 2),
+    lambda: PolyForm(2, 1, {(1, 0): 1}),
+    lambda: PolyForm(2, 2, {(1, 0): 1}),
+    lambda: Poly(2, {(1,): 1}),
+], ids=["negative-power", "wrong-size-index", "decreasing-index", "short-exponents"])
+def test_checked_constructors_reject_bad_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+# -- the trusted internal results, against the checked constructors ---------
+
+fractions = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def polys(draw, n, min_size=0):
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    return Poly(n, draw(st.dictionaries(exponents, fractions, min_size=min_size, max_size=3)))
+
+
+@st.composite
+def forms(draw, n, p=None, parity=None):
+    p = draw(st.integers(0, n)) if p is None else p
+    index_sets = st.sampled_from(list(combinations(range(n), p)))
+    parity = draw(st.sampled_from(list(Parity))) if parity is None else parity
+    terms = draw(st.dictionaries(index_sets, polys(n), min_size=1, max_size=3))
+    return PolyForm(n, p, terms, parity)
+
+
+@st.composite
+def fields(draw, n):
+    return PolyVectorField(n, tuple(draw(polys(n, min_size=1)) for _ in range(n)),
+                           draw(st.sampled_from(list(Parity))))
+
+
+@st.composite
+def metrics(draw, n):
+    """A^T D A for a shear A and diagonal D of signed rational squares, so
+    that sqrt|det g| is rational."""
+    D = [draw(st.sampled_from([-1, 1, 4, Fraction(-9, 4)])) for _ in range(n)]
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        A[0][1] = draw(fractions)
+    return Metric(tuple(tuple(sum(A[k][i] * D[k] * A[k][j] for k in range(n))
+                              for j in range(n)) for i in range(n)))
+
+
+def assert_canonical_poly(P):
+    assert Poly(P.nvars, P.terms) == P
+    for exps, c in P.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(exps) is tuple and len(exps) == P.nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+
+
+def assert_canonical_form(w):
+    assert PolyForm(w.ambient_dim, w.degree, w.terms, w.parity) == w
+    for idx, c in w.terms.items():
+        assert type(idx) is tuple and len(idx) == w.degree
+        assert list(idx) == sorted(set(idx)) and all(0 <= i < w.ambient_dim for i in idx)
+        assert type(c) is Poly and c.nvars == w.ambient_dim and not c.is_zero()
+        assert_canonical_poly(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_trusted_results_are_canonical(data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    P, Q, r = data.draw(polys(n)), data.draw(polys(n)), data.draw(fractions)
+    i = data.draw(st.integers(0, n - 1))
+    phi = [data.draw(polys(m)) for _ in range(n)]
+    for R in (P + Q, P - Q, -P, P - P, P * Q, P * r, r * P, P.diff(i), P.subs(phi)):
+        assert_canonical_poly(R)
+
+    a = data.draw(forms(n))
+    b = data.draw(forms(n, a.degree, a.parity))
+    c = data.draw(forms(n))
+    V, g = data.draw(fields(n)), data.draw(metrics(n))
+    results = (a + b, a - b, -a, a - a, a.scale(P), a.scale(r), a.wedge(c), c.wedge(a),
+               a.d(), a.interior(V), a.pullback(phi), a.hodge(g), V.flat(g))
+    for w in results:
+        assert_canonical_form(w)
+    # identities that pin the signs the trusted path builds
+    assert a.d().d().is_zero()
+    assert a.interior(V).interior(V).is_zero()
+    assert a.wedge(c) == c.wedge(a).scale((-1) ** (a.degree * c.degree))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(forms))
+def test_text_round_trip_property(w):
+    assert form_from_text(form_to_text(w)) == w
