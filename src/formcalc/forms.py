@@ -58,8 +58,11 @@ class PolyForm:
         """Wrap strictly increasing index sets mapped to Polys, built by this
         package; only zero coefficients are dropped."""
         self = object.__new__(cls)
-        self.__dict__.update(ambient_dim=n, degree=p, parity=parity,
-                             terms={i: c for i, c in terms.items() if c.terms})
+        # in field order, so that every instance keeps the same compact attribute layout
+        object.__setattr__(self, "ambient_dim", n)
+        object.__setattr__(self, "degree", p)
+        object.__setattr__(self, "terms", {i: c for i, c in terms.items() if c.terms})
+        object.__setattr__(self, "parity", parity)
         return self
 
     # -- constructors -------------------------------------------------
