@@ -146,8 +146,8 @@ class EMState:
 
     def energy(self) -> float:
         cellvol = float(np.prod(self.grid.spacing))
-        e2 = sum(float(np.sum(a * a)) for a in self.E)
-        b2 = sum(float(np.sum(a * a)) for a in self.B)
+        e2 = sum(float(np.vdot(a, a)) for a in self.E)
+        b2 = sum(float(np.vdot(a, a)) for a in self.B)
         return 0.5 * cellvol * (self.eps * e2 + b2 / self.mu)
 
     def div_B(self) -> np.ndarray:
@@ -156,7 +156,9 @@ class EMState:
 
     def div_D(self) -> np.ndarray:
         """Discrete dD on the dual cells (per node, stored per cell index)."""
-        return self.eps * _div(self.E, self.grid.spacing, dual=True)
+        div = _div(self.E, self.grid.spacing, dual=True)
+        div *= self.eps
+        return div
 
 
 # The periodic d along one axis takes an edge value a[i+1] - a[i] to cell i
@@ -164,33 +166,67 @@ class EMState:
 # step below, the same difference lands at i + 1 (the dual d is minus the
 # transpose of the primal one).  curl is d on 1-forms, div is d on 2-forms.
 
-def _diff(a: np.ndarray, axis: int, h: tuple, dual: bool = False) -> np.ndarray:
-    src = np.moveaxis(a, axis, 0)
-    out = np.empty_like(a)
-    dst = np.moveaxis(out, axis, 0)
-    body, wrap = (dst[1:], dst[0]) if dual else (dst[:-1], dst[-1])
-    np.subtract(src[1:], src[:-1], out=body)
-    np.subtract(src[0], src[-1], out=wrap)
+def _diff(a: np.ndarray, axis: int, h: tuple, dual: bool = False,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic difference along ``axis`` over h[axis], into ``out`` or a
+    new C-ordered array.  ``out`` must be C-contiguous: reshaping any
+    other array silently returns a copy, and the result would be lost.
+
+    In C order the neighbour along ``axis`` sits prod(shape[axis+1:])
+    entries further on, so one subtraction over the flattened arrays gives
+    every difference; the plane it gets wrong, where i + 1 wraps to 0, is
+    then overwritten."""
+    a = np.ascontiguousarray(a)
+    if out is None:
+        out = np.empty_like(a)
+    step = math.prod(a.shape[axis + 1:])
+    src, dst = a.reshape(-1), out.reshape(-1)
+    n = src.size - step
+    np.subtract(src[step:], src[:n], out=dst[step:] if dual else dst[:n])
+    planes, out_planes = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(planes[0], planes[-1], out=out_planes[0] if dual else out_planes[-1])
     out /= h[axis]
     return out
 
 
+def _curl_component(fields: list, d: int, h: tuple, dual: bool,
+                    out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Component d of curl into ``out``; ``tmp`` is scratch of the same shape."""
+    a, b = (d + 1) % 3, (d + 2) % 3
+    _diff(fields[b], a, h, dual, out)
+    return np.subtract(out, _diff(fields[a], b, h, dual, tmp), out=out)
+
+
 def _curl(fields: list, h: tuple, dual: bool = False) -> list:
-    return [_diff(fields[(d + 2) % 3], (d + 1) % 3, h, dual)
-            - _diff(fields[(d + 1) % 3], (d + 2) % 3, h, dual) for d in range(3)]
+    tmp = np.empty(fields[0].shape)
+    return [_curl_component(fields, d, h, dual, np.empty(fields[0].shape), tmp)
+            for d in range(3)]
 
 
 def _div(fields: list, h: tuple, dual: bool = False) -> np.ndarray:
-    return sum(_diff(f, d, h, dual) for d, f in enumerate(fields))
+    out = _diff(fields[0], 0, h, dual)
+    tmp = np.empty_like(out)
+    for d in (1, 2):
+        out += _diff(fields[d], d, h, dual, tmp)
+    return out
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """max |a| without an |a| temporary (abs turns a -0.0 into 0.0)."""
+    return abs(float(max(a.max(), -a.min())))
 
 
 def evolve_leapfrog(state: EMState, steps: int, dt: float,
                     sources=None) -> EMState:
     """Advance the staggered update; enforces the CFL bound.
 
-    ``sources`` is an optional callable step -> (J_edges, drho) with
-    J given per E component and drho the matching dual-cell charge
-    increment (charge-conserving by construction of the deposition)."""
+    ``sources`` is an optional callable step -> (J, drho).  J maps
+    (axis, i, j, k) to the current density through the dual face that
+    E[axis][i, j, k] crosses, and drho maps (i, j, k) to the matching
+    dual-cell charge increment (charge-conserving by construction of the
+    deposition); cells left out carry no current or charge change.
+
+    Each step updates the fields in place through two work arrays."""
     limit = state.cfl_limit()
     if dt > limit * (1 + 1e-12):
         raise ValueError(f"CFL violation: dt={dt} exceeds stability bound {limit}")
@@ -198,28 +234,32 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
         raise ValueError("material coefficients must be positive")
     h = state.grid.spacing
     hmin, cellvol = min(h), float(np.prod(h))
+    work, tmp = np.empty(state.grid.shape), np.empty(state.grid.shape)
     for step in range(steps):
-        for b, curl_e in zip(state.B, _curl(state.E, h)):
-            b -= dt * curl_e
-        curl_h = _curl(state.B, h, dual=True)
-        J = None
-        if sources is not None:
-            J, drho = sources(step)
-            if state.rho is not None and drho is not None:
-                state.rho += drho
-        for d in range(3):
-            state.E[d] += (dt / (state.eps * state.mu)) * curl_h[d]
-            if J is not None:
-                state.E[d] -= (dt / state.eps) * J[d]
+        for d, b in enumerate(state.B):
+            _curl_component(state.E, d, h, False, work, tmp)
+            work *= dt
+            b -= work
+        J, drho = sources(step) if sources is not None else (None, None)
+        if drho and state.rho is not None:
+            for cell, increment in drho.items():
+                state.rho[cell] += increment
+        for d, e in enumerate(state.E):
+            _curl_component(state.B, d, h, True, work, tmp)
+            work *= dt / (state.eps * state.mu)
+            e += work
+        if J:
+            for (d, i, j, k), density in J.items():
+                state.E[d][i, j, k] -= (dt / state.eps) * density
         state.time += dt
         state.diagnostics["time"].append(state.time)
         state.diagnostics["energy"].append(state.energy())
-        scale = max(float(max(np.abs(b).max() for b in state.B)), 1e-300)
-        state.diagnostics["max_divB"].append(
-            float(np.abs(state.div_B()).max()) * hmin / scale)
+        scale = max(max(_abs_max(b) for b in state.B), 1e-300)
+        state.diagnostics["max_divB"].append(_abs_max(state.div_B()) * hmin / scale)
         if state.rho is not None:
-            gauss = state.div_D() - state.rho / cellvol
-            state.diagnostics["gauss_residual"].append(float(np.abs(gauss).max()))
+            gauss = state.div_D()
+            gauss -= np.divide(state.rho, cellvol, out=work)
+            state.diagnostics["gauss_residual"].append(_abs_max(gauss))
     return state
 
 
@@ -269,19 +309,19 @@ class PointCharge:
         return tuple(int(np.floor(self.x[d] / grid.spacing[d])) % grid.shape[d]
                      for d in range(3))
 
-    def push(self, grid: RectGrid, dt: float) -> tuple[list, np.ndarray]:
-        """Move for one step; returns (J per E component, charge increment).
+    def push(self, grid: RectGrid, dt: float) -> tuple[dict, dict]:
+        """Move for one step; returns (J, drho) for the crossed cells only.
 
-        Convention: J[d][c] is the flux density through the high face of
-        cell c along axis d, matching the divergence stencil of div_D, so
-        drho + dt * vol * div(J) = 0 holds to round-off.  The move is
-        split axis by axis (zig-zag); at most one crossing per axis per
-        step is allowed."""
+        J maps (axis, i, j, k) to the flux density through the high face
+        of cell (i, j, k) along axis, matching the divergence stencil of
+        div_D, and drho maps a cell to its charge increment, so
+        drho + dt * vol * div(J) = 0 holds to round-off once both are
+        scattered onto the grid.  The move is split axis by axis
+        (zig-zag); at most one crossing per axis per step is allowed."""
         raw_old = [int(math.floor(self.x[d] / grid.spacing[d])) for d in range(3)]
         self.x = self.x + self.v * dt
         raw_new = [int(math.floor(self.x[d] / grid.spacing[d])) for d in range(3)]
-        J = [np.zeros(grid.shape) for _ in range(3)]
-        drho = np.zeros(grid.shape)
+        J = {}
         cell = list(raw_old)
         for d in range(3):
             jump = raw_new[d] - raw_old[d]
@@ -294,20 +334,15 @@ class PointCharge:
             for a in range(3):
                 if a != d:
                     area *= grid.spacing[a]
-            if jump > 0:
-                face = tuple(c % s for c, s in zip(cell, grid.shape))
-                J[d][face] += self.q / (dt * area)
-            else:
-                low = list(cell)
-                low[d] -= 1
-                face = tuple(c % s for c, s in zip(low, grid.shape))
-                J[d][face] -= self.q / (dt * area)
+            face = list(cell)
+            if jump < 0:  # through the high face of the cell below
+                face[d] -= 1
+            face = tuple(c % s for c, s in zip(face, grid.shape))
+            J[(d, *face)] = jump * self.q / (dt * area)
             cell[d] = raw_new[d]
         old_cell = tuple(c % s for c, s in zip(raw_old, grid.shape))
         new_cell = tuple(c % s for c, s in zip(raw_new, grid.shape))
-        if new_cell != old_cell:
-            drho[old_cell] -= self.q
-            drho[new_cell] += self.q
+        drho = {old_cell: -self.q, new_cell: self.q} if new_cell != old_cell else {}
         return J, drho
 
 

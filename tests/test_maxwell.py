@@ -214,6 +214,150 @@ def test_point_charge_rejects_fast_particles():
     charge = PointCharge(1.0, (0.5, 0.5, 0.5), (10.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="more than one cell"):
         charge.push(grid, 0.1)
+    charge = PointCharge(1.0, (0.5, 0.5, 0.01), (0.0, 0.0, -10.0))
+    with pytest.raises(ValueError, match="more than one cell"):
+        charge.push(grid, 0.1)
+
+
+def scatter(shape, J, drho):
+    """The sparse deposits of ``PointCharge.push`` as full grids."""
+    J_full = [np.zeros(shape) for _ in range(3)]
+    for (d, *cell), density in J.items():
+        J_full[d][tuple(cell)] += density
+    drho_full = np.zeros(shape)
+    for cell, increment in drho.items():
+        drho_full[cell] += increment
+    return J_full, drho_full
+
+
+@pytest.mark.parametrize("position, velocity", [
+    ((1.99, 0.99, 0.49), (1.28, 1.28, 1.28)),     # up through every wrap face
+    ((0.01, 0.01, 0.01), (-1.28, -1.28, -1.28)),  # down through every wrap face
+    ((1.99, 0.01, 0.37), (1.28, -1.28, 1.28)),    # mixed, one interior face
+])
+def test_point_charge_deposits_satisfy_continuity_exactly(position, velocity):
+    # dyadic spacing, dt and q: every deposit and sum below is exact
+    shape, h, dt, q = (4, 4, 4), (0.5, 0.25, 0.125), 2.0 ** -6, 3.0
+    grid = RectGrid(shape, h)
+    charge = PointCharge(q, position, velocity)
+    J, drho = charge.push(grid, dt)
+    assert len(J) == 3 and len(drho) == 2
+    J_full, drho_full = scatter(shape, J, drho)
+    vol = float(np.prod(h))
+    assert not (drho_full + dt * vol * _div(J_full, h, dual=True)).any()
+    assert sum(drho.values()) == 0.0
+
+
+def test_point_charge_move_within_a_cell_deposits_nothing():
+    grid = RectGrid((4, 4, 4), (0.25, 0.25, 0.25))
+    charge = PointCharge(1.0, (0.3, 0.4, 0.6), (0.1, -0.1, 0.1))
+    assert charge.push(grid, 0.01) == ({}, {})
+
+
+# Reference leapfrog step on whole grids: every term a full temporary, J
+# and drho scattered onto the grid, the np.roll stencils for d.
+# evolve_leapfrog, in place and with sparse deposits, must reproduce it
+# bit for bit.
+
+def full_array_step(state, dt, J, drho):
+    h, eps, mu = state.grid.spacing, state.eps, state.mu
+    for b, curl_e in zip(state.B, roll_curl(state.E, h, forward=True)):
+        b -= dt * curl_e
+    curl_h = roll_curl(state.B, h, forward=False)
+    state.rho += drho
+    for d in range(3):
+        state.E[d] += (dt / (eps * mu)) * curl_h[d]
+        state.E[d] -= (dt / eps) * J[d]
+    state.time += dt
+    cellvol = float(np.prod(h))
+    e2 = sum(float(np.sum(a * a)) for a in state.E)
+    b2 = sum(float(np.sum(a * a)) for a in state.B)
+    scale = max(float(max(np.abs(b).max() for b in state.B)), 1e-300)
+    gauss = eps * roll_div(state.E, h, forward=False) - state.rho / cellvol
+    diag = state.diagnostics
+    diag["time"].append(state.time)
+    diag["energy"].append(0.5 * cellvol * (eps * e2 + b2 / mu))
+    diag["max_divB"].append(
+        float(np.abs(roll_div(state.B, h, forward=True)).max()) * min(h) / scale)
+    diag["gauss_residual"].append(float(np.abs(gauss).max()))
+
+
+def anisotropic_state(layout=np.ascontiguousarray):
+    shape = (12, 10, 8)
+    grid = RectGrid(shape, tuple(L / n for L, n in zip((0.7, 1.1, 0.4), shape)))
+    state = EMState.zeros(grid, eps=1.3, mu=0.8)
+    rng = np.random.default_rng(17)
+    state.E = [layout(rng.standard_normal(shape)) for _ in range(3)]
+    state.B = [layout(rng.standard_normal(shape)) for _ in range(3)]
+    state.rho = layout(state.rho)
+    return state
+
+
+def test_leapfrog_step_matches_full_array_reference_bitwise():
+    steps, turn = 300, 150
+    state, ref = anisotropic_state(), anisotropic_state()
+    # starts next to the high x and z and the low y boundary; turning back
+    # halfway, it crosses faces on every axis both ways, wrap faces included
+    charges = [PointCharge(2.5, (0.69, 0.02, 0.39), (0.3, -0.3, 0.2))
+               for _ in range(2)]
+    state.rho[charges[0].cell_of(state.grid)] = 2.5
+    ref.rho[charges[1].cell_of(ref.grid)] = 2.5
+    dt = 0.9 * state.cfl_limit()
+    crossings = set()
+
+    def sources(step):
+        if step == turn:
+            charges[0].v = -charges[0].v
+        J, drho = charges[0].push(state.grid, dt)
+        crossings.update((*face, density > 0) for face, density in J.items())
+        return J, drho
+
+    evolve_leapfrog(state, steps, dt, sources)
+    for step in range(steps):
+        if step == turn:
+            charges[1].v = -charges[1].v
+        full_array_step(ref, dt, *scatter(ref.grid.shape, *charges[1].push(ref.grid, dt)))
+
+    shape = state.grid.shape
+    for d in range(3):
+        for up in (True, False):
+            assert any(c[0] == d and c[-1] is up for c in crossings)
+            assert any(c[0] == d and c[1 + d] == shape[d] - 1 and c[-1] is up
+                       for c in crossings)
+    assert all(same_bits(a, b) for a, b in zip(state.E + state.B, ref.E + ref.B))
+    assert same_bits(state.rho, ref.rho)
+    assert state.time == ref.time
+    for key in ("time", "max_divB", "gauss_residual"):
+        assert same_bits(np.array(state.diagnostics[key]), np.array(ref.diagnostics[key]))
+    np.testing.assert_allclose(state.diagnostics["energy"], ref.diagnostics["energy"],
+                               rtol=1e-13, atol=0)
+
+
+def transposed_view(a):
+    """A non-contiguous view holding the same values as ``a``."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1)).swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, transposed_view])
+def test_operators_and_step_ignore_memory_layout(layout):
+    want, got = anisotropic_state(), anisotropic_state(layout)
+    assert not got.B[0].flags.c_contiguous
+    h = want.grid.spacing
+    for dual in (False, True):
+        for axis in range(3):
+            assert same_bits(_diff(got.E[0], axis, h, dual), _diff(want.E[0], axis, h, dual))
+        assert all(same_bits(g, w) for g, w in zip(_curl(got.B, h, dual),
+                                                   _curl(want.B, h, dual)))
+    assert same_bits(got.div_B(), want.div_B())
+    assert same_bits(got.div_D(), want.div_D())
+    for state in (want, got):
+        charge = PointCharge(1.5, (0.69, 0.02, 0.39), (0.9, -0.9, 0.6))
+        state.rho[charge.cell_of(state.grid)] = 1.5
+        dt = 0.9 * state.cfl_limit()
+        evolve_leapfrog(state, 1, dt, lambda step: charge.push(state.grid, dt))
+    assert all(same_bits(np.ascontiguousarray(g), w)
+               for g, w in zip(got.E + got.B + [got.rho], want.E + want.B + [want.rho]))
+    assert got.diagnostics == want.diagnostics
 
 
 def test_charge_conservation_check_helper():
