@@ -5,12 +5,10 @@ It is closed (its coboundary vanishes) but not exact, and its integral
 distinguishes loops around the hole from contractible ones.
 """
 
-from fractions import Fraction
-
 from formcalc import meshes
 from formcalc.cochain import integrate
 from formcalc.cohomology import betti_numbers, is_closed, is_exact, winding_cochain
-from formcalc.simplicial import Chain
+from formcalc.simplicial import loop_chain
 
 for name, cx in [("disk", meshes.disk()), ("annulus", meshes.annulus()),
                  ("sphere", meshes.sphere_octahedron()),
@@ -24,17 +22,7 @@ w = winding_cochain(annulus)
 print("winding cochain on the annulus:")
 print("  closed:", is_closed(w, annulus))
 print("  exact: ", is_exact(w, annulus)["exact"])
-
-
-def loop(vertices):
-    coeffs = {}
-    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
-        idx = annulus.simplex_index(tuple(sorted((a, b))), 1)
-        coeffs[idx] = coeffs.get(idx, Fraction(0)) + (1 if a < b else -1)
-    return Chain(1, {i: c for i, c in coeffs.items() if c != 0})
-
-
 print("  integral around the hole (inner rim):",
-      integrate(w, loop([0, 1, 2, 3])))
+      integrate(w, loop_chain(annulus, [0, 1, 2, 3])))
 print("  integral around one quad (contractible):",
-      integrate(w, loop([0, 1, 5, 4])))
+      integrate(w, loop_chain(annulus, [0, 1, 5, 4])))

@@ -2,7 +2,7 @@
 complexes, cohomology, metric geometry, and Maxwell's equations."""
 
 from .cochain import (Cochain, Measure, coboundary, cup_wedge, hodge_diagonal,
-                      integrate, integrate_over, measure_from_metric,
+                      integrate, measure_from_metric,
                       stokes_pairing_check, twist_cochain)
 from .cohomology import CohomologyReport, betti_numbers, is_closed, is_exact
 from .forms import (PolyForm, PolyVectorField, exterior_derivative, form_from_text,

@@ -4,7 +4,8 @@ Subcommands cover mesh reports, cohomology tables, cochain integration,
 Stokes pairings, the polynomial Hodge star, the three Maxwell solvers,
 the Lorentz force, and a set of named self-checking demos.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 input parse error.
+Exit codes: 0 success, 1 check failure, 2 usage error (any ``ValueError``),
+3 malformed input (``MeshFormatError``) or an unreadable file (``OSError``).
 Output files go to the directory named by ``FORMCALC_OUTDIR`` (default ``.``).
 """
 
@@ -38,7 +39,7 @@ from .maxwell import (
 )
 from .metric import Metric, parse_metric
 from .parity import Parity
-from .simplicial import Chain, MeshFormatError, SimplicialComplex, boundary, parse_mesh
+from .simplicial import MeshFormatError, SimplicialComplex, boundary, loop_chain, parse_mesh
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -114,12 +115,7 @@ def cmd_integrate(args) -> int:
     cx = _load_mesh(args.mesh)
     omega = _load_cochain(args.cochain, cx)
     parity = Parity(args.parity) if args.parity else omega.parity
-    try:
-        chain = cx.fundamental_chain(parity)
-        value = integrate(omega, chain)
-    except ValueError as exc:
-        print("error:", exc, file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    value = integrate(omega, cx.fundamental_chain(parity))
     print("integral:", _fmt(value))
     return EXIT_OK
 
@@ -134,19 +130,8 @@ def cmd_stokes_check(args) -> int:
     return EXIT_OK if lhs == rhs else EXIT_CHECK_FAILED
 
 
-def _dimension_mismatch(what: str, dim: int, metric: Metric) -> bool:
-    """Report a usage error when ``dim`` is not the metric's dimension."""
-    if dim == metric.dim:
-        return False
-    print(f"error: {what} has dimension {dim}, the metric {metric.dim}",
-          file=sys.stderr)
-    return True
-
-
 def cmd_hodge(args) -> int:
     form = _load_form(args.form_file)
-    if _dimension_mismatch("the form", form.ambient_dim, args.metric):
-        return EXIT_USAGE
     print(form_to_text(form.hodge(args.metric)))
     return EXIT_OK
 
@@ -213,20 +198,8 @@ def cmd_maxwell_evolve(args) -> int:
 
 
 def cmd_lorentz(args) -> int:
-    field, v, g = _load_form(args.field_file), args.velocity, args.metric
-    if (_dimension_mismatch("the field", field.ambient_dim, g)
-            or _dimension_mismatch("--velocity", len(v), g)):
-        return EXIT_USAGE
-    vv = g.inner(v, v)
-    problem = (f"the field must be a 2-form, got degree {field.degree}" if field.degree != 2
-               else "--metric must be Lorentzian" if not g.is_lorentzian
-               else f"--velocity must be timelike, g(V, V) = {vv}" if vv >= 0
-               else f"--velocity must be unit, g(V, V) = {vv} instead of -1" if vv != -1
-               else None)
-    if problem:
-        print("error:", problem, file=sys.stderr)
-        return EXIT_USAGE
-    result = lorentz_force(args.charge, v, field, g)
+    field = _load_form(args.field_file)
+    result = lorentz_force(args.charge, args.velocity, field, args.metric)
     print("force covector:", result["covector"])
     print("force vector:", result["vector"])
     print("g(force, velocity):", _fmt(result["orthogonality"]))
@@ -272,23 +245,14 @@ def demo_annulus_hole() -> bool:
     w = winding_cochain(cx)
     closed = is_closed(w, cx)
     exact = is_exact(w, cx)["exact"]
-    hole = _cycle(cx, [0, 1, 2, 3])          # inner rim encircles the hole
-    contractible = _cycle(cx, [0, 1, 5, 4])  # one quad, bounds two triangles
+    hole = loop_chain(cx, [0, 1, 2, 3])          # inner rim encircles the hole
+    contractible = loop_chain(cx, [0, 1, 5, 4])  # one quad, bounds two triangles
     around = integrate(w, hole)
     trivial = integrate(w, contractible)
     ok = closed and not exact and around != 0 and trivial == 0
     return _report(
         "annulus-hole", ok,
         f"closed={closed} exact={exact} hole={around} contractible={trivial}")
-
-
-def _cycle(cx: SimplicialComplex, loop: list[int]) -> Chain:
-    coeffs: dict[int, Fraction] = {}
-    for a, b in zip(loop, loop[1:] + loop[:1]):
-        idx = cx.simplex_index(tuple(sorted((a, b))), 1)
-        sign = 1 if a < b else -1
-        coeffs[idx] = coeffs.get(idx, Fraction(0)) + sign
-    return Chain(1, {i: c for i, c in coeffs.items() if c != 0})
 
 
 def demo_torus_betti() -> bool:
@@ -523,12 +487,12 @@ def main(argv: list[str] | None = None) -> int:
     except MeshFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

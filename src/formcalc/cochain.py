@@ -40,16 +40,6 @@ class Cochain:
             vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
 
-    @staticmethod
-    def zeros(complex: SimplicialComplex, degree: int,
-              parity: Parity = Parity.STRAIGHT, mode: str = "exact") -> "Cochain":
-        return Cochain(degree, (0,) * complex.num_simplices(degree), parity, mode)
-
-    @staticmethod
-    def ones(complex: SimplicialComplex, degree: int,
-             parity: Parity = Parity.STRAIGHT, mode: str = "exact") -> "Cochain":
-        return Cochain(degree, (1,) * complex.num_simplices(degree), parity, mode)
-
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.degree != other.degree or self.parity is not other.parity:
             raise ValueError("cochain degree/parity mismatch")
@@ -116,14 +106,6 @@ def integrate(omega: Cochain, chain: Chain):
         return sum((c * omega.values[i] for i, c in chain.coefficients.items()),
                    Fraction(0))
     return float(sum(float(c) * omega.values[i] for i, c in chain.coefficients.items()))
-
-
-def integrate_over(omega: Cochain, complex: SimplicialComplex):
-    """Integral over the whole complex (the fundamental chain).
-
-    A straight top-cochain on a non-orientable complex has no fundamental
-    chain to pair with; only twisted top-forms can be integrated there."""
-    return integrate(omega, complex.fundamental_chain(omega.parity))
 
 
 def stokes_pairing_check(omega: Cochain, chain: Chain,

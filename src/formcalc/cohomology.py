@@ -138,11 +138,9 @@ def betti_numbers(complex: SimplicialComplex) -> CohomologyReport:
         betti.append(complex.num_simplices(k) - ranks[k] - ranks[k + 1])
     for k in range(n):
         torsions[k] = tuple(f for f in factor_lists.get(k + 1, []) if f > 1)
-    ok, _ = (complex.orientability() if complex.is_pseudo_manifold()
-             else (False, None))
     chi = complex.euler_characteristic()
     assert sum((-1) ** k * b for k, b in enumerate(betti)) == chi
-    return CohomologyReport(tuple(betti), tuple(torsions), ok, chi)
+    return CohomologyReport(tuple(betti), tuple(torsions), complex.orientable(), chi)
 
 
 def is_closed(omega: Cochain, complex: SimplicialComplex) -> bool:

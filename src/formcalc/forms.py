@@ -199,9 +199,9 @@ class PolyForm:
         Satisfies hodge(hodge(w)) = (-1)^{p(n-p)} sgn(det g) w."""
         n = self.ambient_dim
         if g.dim != n:
-            raise ValueError("metric dimension mismatch")
+            raise ValueError(f"the form has dimension {n}, the metric {g.dim}")
         p = self.degree
-        ginv = g.inverse_matrix()
+        ginv = g.inverse_matrix
         scale = g.volume_scale()
         full = tuple(range(n))
         out: dict = {}
@@ -282,10 +282,6 @@ class PolyVectorField:
         n = len(values)
         return PolyVectorField(n, tuple(Poly.constant(n, v) for v in values), parity)
 
-    @staticmethod
-    def basis(n: int, i: int, parity: Parity = Parity.STRAIGHT) -> "PolyVectorField":
-        return PolyVectorField.constant([1 if j == i else 0 for j in range(n)], parity)
-
     def apply_to_scalar(self, f) -> Poly:
         """Directional derivative: pair(d f, V)."""
         f = _coerce_poly(self.ambient_dim, f)
@@ -308,14 +304,6 @@ class PolyVectorField:
 
 
 # -- module-level operation aliases (the operation vocabulary) ----------
-
-def add(a: PolyForm, b: PolyForm) -> PolyForm:
-    return a + b
-
-
-def scale(scalar, w: PolyForm) -> PolyForm:
-    return w.scale(scalar)
-
 
 def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     return a.wedge(b)

@@ -365,6 +365,8 @@ def lorentz_force(q, velocity: Sequence, F: PolyForm, g: Metric) -> dict:
     metric-dual vector; always metric-orthogonal to the velocity."""
     if F.degree != 2 or F.ambient_dim != g.dim:
         raise ValueError("field strength must be a 2-form matching the metric")
+    if not g.is_lorentzian:
+        raise ValueError("the Lorentz force needs a Lorentzian metric")
     V = PolyVectorField.constant(list(velocity))
     cls, _ = classify(list(velocity), g)
     if cls is not CausalClass.TIMELIKE:

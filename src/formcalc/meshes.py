@@ -15,10 +15,6 @@ def single_triangle() -> SimplicialComplex:
     return build_complex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
 
 
-def unit_right_triangle() -> SimplicialComplex:
-    return single_triangle()
-
-
 def solid_tetrahedron() -> SimplicialComplex:
     verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     return build_complex(verts, [(0, 1, 2, 3)])

@@ -10,6 +10,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exact import det, inertia, inverse
@@ -94,20 +95,27 @@ class Metric:
     def det(self) -> Fraction:
         return det(self.matrix)
 
-    def inverse_matrix(self) -> list[list[Fraction]]:
-        return inverse(self.matrix)
+    @cached_property
+    def inverse_matrix(self) -> tuple:
+        """g^-1 as a tuple of row tuples, computed on first use."""
+        return tuple(map(tuple, inverse(self.matrix)))
 
     def inner(self, u: Sequence, v: Sequence) -> Fraction:
         u = [_as_fraction(x) for x in u]
         v = [_as_fraction(x) for x in v]
         if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError("vector arity mismatch")
+            raise ValueError(f"vectors of {len(u)} and {len(v)} components "
+                             f"for a metric of dimension {self.dim}")
         return sum(self.matrix[i][j] * u[i] * v[j]
                    for i in range(self.dim) for j in range(self.dim))
 
+    @cached_property
+    def _volume_scale(self) -> Fraction | None:
+        return _fraction_sqrt(abs(self.det()))
+
     def volume_scale(self) -> Fraction:
         """sqrt|det g|, exact; raises if not a rational square."""
-        s = _fraction_sqrt(abs(self.det()))
+        s = self._volume_scale
         if s is None:
             raise ValueError("sqrt|det g| is irrational; use an orthonormal-scaled metric")
         return s
@@ -195,7 +203,7 @@ def orthogonal_complement(v: Sequence, g: Metric) -> list[list[Fraction]]:
 def form_inner(a_terms: dict, b_terms: dict, g: Metric) -> Fraction:
     """Induced inner product of two constant p-forms given as
     {index-set: Fraction} coefficient maps."""
-    ginv = g.inverse_matrix()
+    ginv = g.inverse_matrix
     total = Fraction(0)
     for idx_a, ca in a_terms.items():
         for idx_b, cb in b_terms.items():
@@ -221,7 +229,7 @@ def form_magnitude(form, g: Metric, point=None) -> tuple[float, int]:
 
 def metric_dual_vector(omega_terms: dict, g: Metric) -> list[Fraction]:
     """Sharp: constant 1-form coefficients -> vector components."""
-    ginv = g.inverse_matrix()
+    ginv = g.inverse_matrix
     n = g.dim
     co = [omega_terms.get((i,), Fraction(0)) for i in range(n)]
     return [sum(ginv[i][j] * co[j] for j in range(n)) for i in range(n)]

@@ -146,7 +146,9 @@ class SimplicialComplex:
         return True, signs
 
     def orientable(self) -> bool:
-        return self.orientability()[0]
+        """Whether the top cells admit a coherent orientation; False for a
+        complex that is not a pseudo-manifold."""
+        return self.is_pseudo_manifold() and self.orientability()[0]
 
     def fundamental_chain(self, parity: Parity = Parity.TWISTED) -> "Chain":
         """All top cells with weight 1.
@@ -248,6 +250,18 @@ def boundary(chain: Chain, complex: SimplicialComplex) -> Chain:
     out = np.zeros(complex.num_simplices(k - 1), dtype=object)
     np.add.at(out, complex.faces[k][cols], complex.face_signs[k][cols] * coeffs[:, None])
     return Chain(k - 1, {int(i): out[i] for i in np.flatnonzero(out)}, chain.parity)
+
+
+def loop_chain(complex: SimplicialComplex, vertices: Sequence[int]) -> Chain:
+    """The 1-chain of the closed edge path through ``vertices``, back to the
+    first: +1 per edge walked in ascending vertex order, -1 otherwise."""
+    start = np.asarray(vertices, dtype=np.int64)
+    end = np.roll(start, -1)
+    edges = complex.simplex_index(np.stack([start, end], axis=1), 1)
+    coeffs: dict[int, int] = {}
+    for edge, sign in zip(edges.tolist(), np.where(start < end, 1, -1).tolist()):
+        coeffs[edge] = coeffs.get(edge, 0) + sign
+    return Chain(1, coeffs)
 
 
 def orientability(complex: SimplicialComplex):

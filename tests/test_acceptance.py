@@ -30,7 +30,7 @@ from formcalc.maxwell import (
 from formcalc.metric import Metric, form_magnitude, gamma_factor, norm_squared
 from formcalc.parity import Parity
 from formcalc.poly import Poly
-from formcalc.simplicial import Chain
+from formcalc.simplicial import loop_chain
 
 
 def report(label, ok, detail=""):
@@ -141,15 +141,8 @@ def test_acceptance_3_cohomology():
     w = winding_cochain(ann)
     ok = ok and is_closed(w, ann) and not is_exact(w, ann)["exact"]
 
-    def loop(vertices):
-        coeffs = {}
-        for s, t in zip(vertices, vertices[1:] + vertices[:1]):
-            idx = ann.simplex_index(tuple(sorted((s, t))), 1)
-            coeffs[idx] = coeffs.get(idx, Fraction(0)) + (1 if s < t else -1)
-        return Chain(1, {i: c for i, c in coeffs.items() if c != 0})
-
-    around = integrate(w, loop([0, 1, 2, 3]))
-    trivial = integrate(w, loop([0, 1, 5, 4]))
+    around = integrate(w, loop_chain(ann, [0, 1, 2, 3]))
+    trivial = integrate(w, loop_chain(ann, [0, 1, 5, 4]))
     elapsed = time.time() - start
     ok = ok and around != 0 and trivial == 0 and elapsed < 5.0
     report("criterion 3: Betti tables + winding cochain", ok,

@@ -31,6 +31,18 @@ def test_mesh_info_from_file(tmp_path, capsys):
     assert "euler characteristic: 0" in capsys.readouterr().out
 
 
+def test_mesh_info_on_non_pseudo_manifold(tmp_path, capsys):
+    # three triangles sharing one edge
+    path = tmp_path / "fan.mesh"
+    path.write_text("dim 2\nv 0 0\nv 1 0\nv 0 1\nv 1 1\nv -1 1\n"
+                    "s 0 1 2\ns 0 1 3\ns 0 1 4\n")
+    assert main(["mesh-info", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "pseudo-manifold: False" in captured.out
+    assert "orientable: False" in captured.out
+    assert captured.err == ""
+
+
 def test_cohomology_table(capsys):
     assert main(["cohomology", "torus"]) == 0
     out = capsys.readouterr().out
@@ -50,7 +62,7 @@ def test_integrate_and_parity_error(tmp_path, capsys):
                        Parity.STRAIGHT, "exact")
     path2 = tmp_path / "st.csv"
     path2.write_text(cochain_to_csv(straight))
-    assert main(["integrate", "mobius", str(path2)]) == 1
+    assert main(["integrate", "mobius", str(path2)]) == 2
 
 
 def test_stokes_check(tmp_path, capsys):
@@ -91,6 +103,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["mesh-info", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+def test_unreadable_input_exit_code(tmp_path, capsys):
+    assert main(["mesh-info", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
 def test_usage_error_exit_code():
@@ -221,9 +240,18 @@ def test_largest_box_inside_grounded_boundary_runs(outdir, capsys):
     (["lorentz", "FORM", "--velocity", "1,0,0,0"], "n=4 p=1 parity=straight; [0]: 2\n"),
     (["lorentz", "FORM", "--velocity", "1,0,0,0", "--metric", "diag(-1,-1,1,1)"],
      "n=4 p=2 parity=straight; [0,1]: 2\n"),
+    (["hodge", "FORM", "--metric", "diag(2,1,1)"], "n=3 p=1 parity=straight; [0]: 1\n"),
+    (["stokes-check", "disk", "FORM"],
+     "# degree=2 parity=twisted mode=exact\n" + "".join(f"{i},1\n" for i in range(8))),
+    (["integrate", "disk", "FORM"],
+     "# degree=1 parity=twisted mode=exact\n" + "".join(f"{i},1\n" for i in range(16))),
+    (["lorentz", "FORM", "--velocity", "1,0,0,0"], "n=4 p=2; [0,1]: x1\n"),
+    (["lorentz", "FORM", "--velocity", "1,0,0,0", "--metric", "diag(1,1,1,1)"],
+     "n=4 p=2 parity=straight; [0,1]: 2\n"),
 ], ids=["hodge-metric", "lorentz-velocity", "lorentz-field", "lorentz-not-timelike",
         "lorentz-not-unit", "lorentz-zero-velocity", "lorentz-one-form-field",
-        "lorentz-two-time-axes"])
+        "lorentz-two-time-axes", "hodge-irrational-volume", "stokes-top-cochain",
+        "integrate-edge-cochain", "lorentz-nonconstant-field", "lorentz-riemannian"])
 def test_dimension_mismatch_is_usage_error(tmp_path, capsys, argv, field):
     form = tmp_path / "form.txt"
     form.write_text(field)

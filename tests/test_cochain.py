@@ -34,15 +34,6 @@ def frac_cochain(cx, degree, values, parity=Parity.STRAIGHT):
     return Cochain(degree, tuple(Fraction(v) for v in values), parity, "exact")
 
 
-def loop_chain(cx, loop):
-    coeffs = {}
-    for a, b in zip(loop, loop[1:] + loop[:1]):
-        idx = cx.simplex_index(tuple(sorted((a, b))), 1)
-        sign = 1 if a < b else -1
-        coeffs[idx] = coeffs.get(idx, Fraction(0)) + sign
-    return Chain(1, {i: c for i, c in coeffs.items() if c != 0})
-
-
 def test_coboundary_squared_zero():
     cx = meshes.sphere_octahedron()
     rng = random.Random(3)
@@ -240,7 +231,7 @@ def test_twist_rejects_mobius_and_incoherent_signs():
 
 
 def test_measure_unit_right_triangle():
-    cx = meshes.unit_right_triangle()
+    cx = meshes.single_triangle()
     m = measure_from_metric(cx)
     assert m.cochain.parity is Parity.TWISTED
     assert math.isclose(m.total(cx), 0.5)

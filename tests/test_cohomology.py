@@ -19,7 +19,7 @@ from formcalc.cohomology import (
     winding_cochain,
 )
 from formcalc.parity import Parity
-from formcalc.simplicial import Chain, build_complex
+from formcalc.simplicial import build_complex, loop_chain
 
 
 def reference_snf(matrix):
@@ -242,18 +242,9 @@ def test_rp2_torsion():
 def test_winding_integrals():
     cx = meshes.annulus()
     w = winding_cochain(cx)
-
-    def loop(vertices):
-        coeffs = {}
-        for a, b in zip(vertices, vertices[1:] + vertices[:1]):
-            idx = cx.simplex_index(tuple(sorted((a, b))), 1)
-            sign = 1 if a < b else -1
-            coeffs[idx] = coeffs.get(idx, Fraction(0)) + sign
-        return Chain(1, {i: c for i, c in coeffs.items() if c != 0})
-
     # inner rim encircles the hole once; a single quad does not
-    assert integrate(w, loop([0, 1, 2, 3])) != 0
-    assert integrate(w, loop([0, 1, 5, 4])) == 0
+    assert integrate(w, loop_chain(cx, [0, 1, 2, 3])) != 0
+    assert integrate(w, loop_chain(cx, [0, 1, 5, 4])) == 0
 
 
 def test_exact_cochain_recovers_primitive():

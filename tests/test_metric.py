@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from formcalc.exact import inverse
 from formcalc.forms import PolyForm
 from formcalc.metric import (
     CausalClass,
@@ -124,8 +125,16 @@ def test_volume_scale():
     g = Metric.diag(Fraction(4), Fraction(9))
     assert g.volume_scale() == Fraction(6)
     assert Metric.minkowski(2).volume_scale() == Fraction(1)
-    with pytest.raises(ValueError):
-        Metric.diag(Fraction(2), Fraction(1)).volume_scale()
+    irrational = Metric.diag(Fraction(2), Fraction(1))
+    for _ in range(2):  # a cached result must not swallow the error
+        with pytest.raises(ValueError):
+            irrational.volume_scale()
+
+
+def test_inverse_matrix_is_cached_tuples():
+    g = Metric.diag(-1, 4, 1, 1)
+    assert g.inverse_matrix == tuple(map(tuple, inverse(g.matrix)))
+    assert g.inverse_matrix is g.inverse_matrix
 
 
 def test_parse_metric():

@@ -15,6 +15,7 @@ from formcalc.simplicial import (
     MeshFormatError,
     boundary,
     build_complex,
+    loop_chain,
     mesh_to_text,
     parse_mesh,
 )
@@ -101,6 +102,15 @@ def test_pseudo_manifold_check():
     cx = build_complex([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)],
                        [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
     assert not cx.is_pseudo_manifold()
+    assert not cx.orientable()
+
+
+def test_loop_chain_is_a_cycle_and_reverses_sign():
+    cx = meshes.annulus()
+    rim = loop_chain(cx, [0, 1, 2, 3])
+    assert len(rim.coefficients) == 4
+    assert boundary(rim, cx).is_zero()
+    assert loop_chain(cx, [3, 2, 1, 0]) == -rim
 
 
 def test_build_complex_rejects_bad_cells():
