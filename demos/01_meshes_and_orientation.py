@@ -5,7 +5,7 @@ surfaces admit a coherent (straight) orientation and which only a twisted
 one.
 """
 
-from formcalc import meshes
+from formcalc import meshes, scenarios
 from formcalc.parity import Parity
 
 surfaces = {
@@ -33,10 +33,7 @@ print("fundamental chains:")
 torus = surfaces["torus"]
 print("  torus, straight:", len(
     torus.fundamental_chain(Parity.STRAIGHT).coefficients), "cells")
-mobius = surfaces["mobius"]
-print("  mobius, twisted:", len(
-    mobius.fundamental_chain(Parity.TWISTED).coefficients), "cells")
-try:
-    mobius.fundamental_chain(Parity.STRAIGHT)
-except ValueError as exc:
-    print("  mobius, straight:", exc)
+mobius = scenarios.mobius_twisted_only().values
+print("  mobius, twisted: integral of 1 =", mobius["twisted_integral"],
+      "over", mobius["triangles"], "triangles")
+print("  mobius, straight:", mobius["straight_error"])

@@ -8,11 +8,8 @@ report -7.
 
 from fractions import Fraction
 
-from formcalc import meshes
-from formcalc.cli import stokes_disk_cochain
-from formcalc.cochain import stokes_pairing_check
+from formcalc import scenarios
 from formcalc.forms import PolyForm, PolyVectorField
-from formcalc.parity import Parity
 from formcalc.poly import parse_poly
 
 # wedge and d on x dy in the plane
@@ -25,15 +22,12 @@ V = PolyVectorField.constant((Fraction(1), Fraction(2)))
 print("i_V omega  =", omega.interior(V))
 
 # F^F for the electromagnetic 2-form dt^dx + dy^dz
-f = PolyForm.basis(4, (0, 1)) + PolyForm.basis(4, (2, 3))
-print("\nF          =", f)
-print("F ^ F      =", f.wedge(f))
+ffwedge = scenarios.ffwedge_4d().values
+print("\nF          =", ffwedge["F"])
+print("F ^ F      =", ffwedge["FF"])
 
 # Stokes on the disk: the -7 pairing
-disk = meshes.disk()
-cochain = stokes_disk_cochain(disk)
-fund = disk.fundamental_chain(Parity.TWISTED)
-lhs, rhs = stokes_pairing_check(cochain, fund, disk)
+lhs, rhs = scenarios.stokes_disk_minus7().values["pairing"]
 print("\nStokes pairing on the disk:")
 print("  integral of d omega over the disk   =", lhs)
 print("  integral of omega over the boundary =", rhs)

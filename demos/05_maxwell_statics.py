@@ -6,29 +6,15 @@ point charge equals the charge. Ampere: the circulation of the twisted
 solver tolerance on every surface/loop, not just asymptotically.
 """
 
-import numpy as np
+from formcalc import scenarios
 
-from formcalc.grid import RectGrid, box_node_set
-from formcalc.maxwell import solve_electrostatics, solve_magnetostatics
-
-print("point charge Q = 5 on a grounded 32^3 box")
-grid = RectGrid((32, 32, 32), (1.0, 1.0, 1.0))
-rho = np.zeros(grid.node_shape)
-rho[tuple(s // 2 for s in grid.node_shape)] = 5.0
-result = solve_electrostatics(grid, rho.ravel(), tol=1e-10)
-for radius in (3, 6, 10):
-    flux = result.flux_through_box(radius)
+gauss = scenarios.gauss_point_charge().values
+print(f"point charge Q = {gauss['charge']} on a grounded 32^3 box")
+for radius, flux in zip(gauss["radii"], gauss["fluxes"]):
     print(f"  flux of D through box of radius {radius:2}: {flux:.9f}")
 
-print("\nstraight wire I = 2.5 through a 64^2 transverse grid")
-grid2 = RectGrid((64, 64), (1.0, 1.0))
-current = np.zeros(grid2.node_shape)
-current[tuple(s // 2 for s in grid2.node_shape)] = 2.5
-result2 = solve_magnetostatics(grid2, current.ravel(), tol=1e-10)
-for radius in (4, 9):
-    circ = result2.circulation_around(box_node_set(grid2, radius))
+ampere = scenarios.ampere_wire().values
+print(f"\nstraight wire I = {ampere['current']} through a 64^2 transverse grid")
+for radius, circ in zip(ampere["radii"], ampere["linking"]):
     print(f"  circulation of H on linking loop of radius {radius}: {circ:.9f}")
-off = np.zeros(grid2.node_shape, dtype=bool)
-off[2:8, 2:8] = True
-print(f"  circulation on a non-linking loop: "
-      f"{result2.circulation_around(off.ravel()):.2e}")
+print(f"  circulation on a non-linking loop: {ampere['non_linking']:.2e}")

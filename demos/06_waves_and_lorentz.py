@@ -7,25 +7,17 @@ frozen. Finally the Lorentz force from a field 2-form is always orthogonal
 to the 4-velocity.
 """
 
-import math
-from fractions import Fraction
-
 import numpy as np
 
-from formcalc.forms import PolyForm
+from formcalc import scenarios
 from formcalc.grid import RectGrid
-from formcalc.maxwell import (EMState, PointCharge, evolve_leapfrog, lorentz_force,
-                              plane_wave_error)
-from formcalc.metric import Metric
-
+from formcalc.maxwell import EMState, PointCharge, evolve_leapfrog
 
 print("plane-wave convergence (one period):")
-prev = None
-for n in (64, 128, 256):
-    err, divb = plane_wave_error(n)
-    order = "" if prev is None else f"   order = {math.log2(prev / err):.3f}"
+wave = scenarios.plane_wave().values
+for i, (n, err, divb) in enumerate(zip(wave["cells"], wave["errors"], wave["max_divB"])):
+    order = f"   order = {wave['orders'][i - 1]:.3f}" if i else ""
     print(f"  n = {n:3}  L2 error = {err:.3e}  max |dB| = {divb:.1e}{order}")
-    prev = err
 
 print("\nmoving point charge, 10,000 steps:")
 n = 12
@@ -43,9 +35,6 @@ print(f"  Gauss residual drift: {abs(r1 - r0):.2e} "
 print(f"  total charge: {state.rho.sum():.12f}")
 
 print("\nLorentz force on a charge at rest in a field E0 dt^dx:")
-g = Metric.minkowski(4)
-field = PolyForm.basis(4, (0,)).wedge(PolyForm.basis(4, (1,))).scale(Fraction(2))
-rest = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-out = lorentz_force(Fraction(3), rest, field, g)
-print("  force vector:", out["vector"])
-print("  g(force, velocity):", out["orthogonality"])
+rest = scenarios.lorentz_rest_charge().values
+print("  force vector:", f"[{', '.join(map(str, rest['force']))}]")
+print("  g(force, velocity):", rest["orthogonality"])

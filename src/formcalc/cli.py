@@ -26,20 +26,20 @@ from .cochain import (
     integrate,
     stokes_pairing_check,
 )
-from .cohomology import betti_numbers, is_closed, is_exact, winding_cochain
+from .cohomology import betti_numbers
 from .forms import PolyForm, form_from_text, form_to_text
 from .grid import RectGrid, box_node_set
 from .maxwell import (
     evolve_leapfrog,
     lorentz_force,
     plane_wave,
-    plane_wave_error,
     solve_electrostatics,
     solve_magnetostatics,
 )
-from .metric import Metric, parse_metric
+from .metric import parse_metric
 from .parity import Parity
-from .simplicial import MeshFormatError, SimplicialComplex, boundary, loop_chain, parse_mesh
+from .scenarios import SCENARIOS
+from .simplicial import MeshFormatError, SimplicialComplex, parse_mesh
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -86,9 +86,10 @@ def _load_form(source: str) -> PolyForm:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(float(x))
+    """Exact values (-7, 3/2, a form) as they read; floats at full precision."""
+    if isinstance(x, (list, tuple)):
+        return "[" + ", ".join(_fmt(v) for v in x) + "]"
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 # -- plain subcommands -------------------------------------------------------
@@ -208,168 +209,17 @@ def cmd_lorentz(args) -> int:
 
 # -- demos -------------------------------------------------------------------
 
-def _report(label: str, ok: bool, detail: str = "") -> bool:
-    tag = "PASS" if ok else "FAIL"
-    suffix = f"  ({detail})" if detail else ""
-    print(f"{tag} {label}{suffix}")
-    return ok
-
-
-def stokes_disk_cochain(cx: SimplicialComplex) -> Cochain:
-    """Twisted 1-cochain on the 8-triangle disk whose boundary values sum
-    to -7 with the induced orientation; interior edges carry nonzero values
-    that cancel in the Stokes pairing."""
-    fund = cx.fundamental_chain(Parity.TWISTED)
-    rim = boundary(fund, cx)
-    contributions = [3, -2, 5, -4, 1, -6, 2, -6]  # sums to -7
-    values = [Fraction(0)] * cx.num_simplices(1)
-    for (idx, sign), c in zip(sorted(rim.coefficients.items()), contributions):
-        values[idx] = Fraction(c) / sign
-    interior = [i for i in range(cx.num_simplices(1)) if values[i] == 0]
-    for k, i in enumerate(interior):
-        values[i] = Fraction(k + 1)
-    return Cochain(1, tuple(values), Parity.TWISTED, "exact")
-
-
-def demo_stokes_disk_minus7() -> bool:
-    cx = meshes.disk()
-    omega = stokes_disk_cochain(cx)
-    fund = cx.fundamental_chain(Parity.TWISTED)
-    lhs, rhs = stokes_pairing_check(omega, fund, cx)
-    ok = lhs == Fraction(-7) and rhs == Fraction(-7)
-    return _report("stokes-disk-minus7", ok, f"pairing = ({lhs}, {rhs})")
-
-
-def demo_annulus_hole() -> bool:
-    cx = meshes.annulus()
-    w = winding_cochain(cx)
-    closed = is_closed(w, cx)
-    exact = is_exact(w, cx)["exact"]
-    hole = loop_chain(cx, [0, 1, 2, 3])          # inner rim encircles the hole
-    contractible = loop_chain(cx, [0, 1, 5, 4])  # one quad, bounds two triangles
-    around = integrate(w, hole)
-    trivial = integrate(w, contractible)
-    ok = closed and not exact and around != 0 and trivial == 0
-    return _report(
-        "annulus-hole", ok,
-        f"closed={closed} exact={exact} hole={around} contractible={trivial}")
-
-
-def demo_torus_betti() -> bool:
-    report = betti_numbers(meshes.torus())
-    ok = report.betti == (1, 2, 1) and report.orientable
-    return _report("torus-betti", ok, f"betti = {report.betti}")
-
-
-def demo_mobius_twisted_only() -> bool:
-    cx = meshes.mobius_minimal()
-    top = cx.dim
-    ones = Cochain(top, tuple(Fraction(1) for _ in range(cx.num_simplices(top))),
-                   Parity.TWISTED, "exact")
-    twisted_value = integrate(ones, cx.fundamental_chain(Parity.TWISTED))
-    straight_failed = False
-    message = ""
-    try:
-        cx.fundamental_chain(Parity.STRAIGHT)
-    except ValueError as exc:
-        straight_failed = True
-        message = str(exc)
-    ok = straight_failed and twisted_value == cx.num_simplices(top)
-    return _report("mobius-twisted-only", ok,
-                   f"twisted integral = {twisted_value}; straight: {message}")
-
-
-def demo_plane_wave() -> bool:
-    errors = []
-    worst_divb = 0.0
-    for n in (64, 128, 256):
-        err, divb = plane_wave_error(n)
-        errors.append(err)
-        worst_divb = max(worst_divb, divb)
-    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
-    ok = min(orders) >= 1.8 and worst_divb <= 1e-12
-    return _report(
-        "plane-wave", ok,
-        f"orders = {[round(o, 3) for o in orders]}, max |dB| = {worst_divb:.2e}")
-
-
-def demo_gauss_point_charge() -> bool:
-    q = 5.0
-    grid = RectGrid((32, 32, 32), (1.0, 1.0, 1.0))
-    rho = np.zeros(grid.node_shape)
-    rho[tuple(s // 2 for s in grid.node_shape)] = q
-    result = solve_electrostatics(grid, rho.ravel(), tol=1e-10)
-    fluxes = [result.flux_through_box(r) for r in (3, 6, 10)]
-    ok = all(abs(f - q) / q <= 0.01 for f in fluxes)
-    return _report("gauss-point-charge", ok,
-                   "fluxes = " + ", ".join(f"{f:.6f}" for f in fluxes))
-
-
-def demo_ampere_wire() -> bool:
-    current = 2.5
-    grid = RectGrid((64, 64), (1.0, 1.0))
-    j = np.zeros(grid.node_shape)
-    j[tuple(s // 2 for s in grid.node_shape)] = current
-    result = solve_magnetostatics(grid, j.ravel(), tol=1e-10)
-    linking = [result.circulation_around(box_node_set(grid, r)) for r in (4, 9)]
-    off = np.zeros(grid.node_shape, dtype=bool)
-    off[2:8, 2:8] = True
-    non_linking = result.circulation_around(off.ravel())
-    ok = (all(abs(c - current) / current <= 0.01 for c in linking)
-          and abs(non_linking) <= 0.01 * current)
-    return _report("ampere-wire", ok,
-                   f"linking = {linking[0]:.6f}, {linking[1]:.6f}; "
-                   f"non-linking = {non_linking:.2e}")
-
-
-def demo_lorentz_rest_charge() -> bool:
-    g = Metric.minkowski(4)
-    e0 = Fraction(2)
-    field = PolyForm.basis(4, (0,)).wedge(PolyForm.basis(4, (1,))).scale(e0)
-    q = Fraction(3)
-    rest = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    result = lorentz_force(q, rest, field, g)
-    comps = [c.constant_value() for c in result["vector"].components]
-    ok = (comps == [Fraction(0), q * e0, Fraction(0), Fraction(0)]
-          and result["orthogonality"] == 0)
-    return _report("lorentz-rest-charge", ok,
-                   f"force vector = {comps}, g(f,V) = {result['orthogonality']}")
-
-
-def demo_ffwedge_4d() -> bool:
-    dt_dx = PolyForm.basis(4, (0, 1))
-    dy_dz = PolyForm.basis(4, (2, 3))
-    f = dt_dx + dy_dz
-    ff = f.wedge(f)
-    expected = PolyForm.basis(4, (0, 1, 2, 3)).scale(Fraction(2))
-    ok = ff == expected
-    return _report("ffwedge-4d", ok, f"F^F = {ff}")
-
-
-DEMOS = {
-    "stokes-disk-minus7": demo_stokes_disk_minus7,
-    "annulus-hole": demo_annulus_hole,
-    "torus-betti": demo_torus_betti,
-    "mobius-twisted-only": demo_mobius_twisted_only,
-    "plane-wave": demo_plane_wave,
-    "gauss-point-charge": demo_gauss_point_charge,
-    "ampere-wire": demo_ampere_wire,
-    "lorentz-rest-charge": demo_lorentz_rest_charge,
-    "ffwedge-4d": demo_ffwedge_4d,
-}
-
-
 def cmd_demo(args) -> int:
-    if args.id == "all":
-        ids = list(DEMOS)
-    elif args.id in DEMOS:
-        ids = [args.id]
-    else:
-        print(f"unknown demo id: {args.id}", file=sys.stderr)
-        print("available:", ", ".join(DEMOS), file=sys.stderr)
-        return EXIT_USAGE
-    ok = all([DEMOS[i]() for i in ids])
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    ids = list(SCENARIOS) if args.id == "all" else [args.id]
+    status = EXIT_OK
+    for name in ids:
+        result = SCENARIOS[name]()
+        values = ", ".join(f"{k} = {_fmt(v)}" for k, v in result.values.items())
+        print(f"{'PASS' if result.ok else 'FAIL'} {result.id}  ({values})")
+        if not result.ok:
+            print(f"  claim: {result.claim}")
+            status = EXIT_CHECK_FAILED
+    return status
 
 
 # -- argument parsing --------------------------------------------------------
@@ -473,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lorentz)
 
     p = sub.add_parser("demo", help="run a named self-checking scenario")
-    p.add_argument("id", help="demo id, or 'all'")
+    p.add_argument("id", choices=[*SCENARIOS, "all"], help="scenario id, or 'all'")
     p.set_defaults(func=cmd_demo)
 
     return parser

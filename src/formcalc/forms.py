@@ -282,12 +282,6 @@ class PolyVectorField:
         n = len(values)
         return PolyVectorField(n, tuple(Poly.constant(n, v) for v in values), parity)
 
-    def apply_to_scalar(self, f) -> Poly:
-        """Directional derivative: pair(d f, V)."""
-        f = _coerce_poly(self.ambient_dim, f)
-        df = PolyForm.scalar(self.ambient_dim, f).d()
-        return df.pair(self)
-
     def flat(self, g: Metric) -> PolyForm:
         """Metric-dual 1-form g(V, .)."""
         n = self.ambient_dim

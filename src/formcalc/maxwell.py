@@ -19,46 +19,6 @@ from .forms import PolyForm, PolyVectorField
 from .grid import (RectGrid, StaticsSolution, box_node_set, solve_poisson_grounded,
                    surface_flux)
 from .metric import CausalClass, Metric, classify
-from .parity import Parity
-
-# degree, parity, home dimension for every named field
-FIELD_DICTIONARY = {
-    "E": (1, Parity.STRAIGHT, 3),
-    "D": (2, Parity.TWISTED, 3),
-    "B": (2, Parity.STRAIGHT, 3),
-    "H": (1, Parity.TWISTED, 3),
-    "rho": (3, Parity.TWISTED, 3),
-    "J": (2, Parity.TWISTED, 3),
-    "F": (2, Parity.STRAIGHT, 4),
-    "Hcal": (2, Parity.TWISTED, 4),
-    "Jcal": (3, Parity.TWISTED, 4),
-}
-
-
-def validate_dictionary(bundle: dict) -> list[str]:
-    """Check labeled fields against the dictionary; returns violations.
-
-    Bundle values may be (degree, parity[, home]) tuples or objects with
-    ``degree`` and ``parity`` attributes."""
-    problems = []
-    for name, item in bundle.items():
-        if name not in FIELD_DICTIONARY:
-            problems.append(f"{name}: unknown field name")
-            continue
-        want_degree, want_parity, want_home = FIELD_DICTIONARY[name]
-        if isinstance(item, tuple):
-            degree, parity = item[0], item[1]
-            home = item[2] if len(item) > 2 else None
-        else:
-            degree, parity = item.degree, item.parity
-            home = getattr(item, "ambient_dim", None)
-        if degree != want_degree:
-            problems.append(f"{name}: degree {degree}, expected {want_degree}")
-        if parity is not want_parity:
-            problems.append(f"{name}: parity {parity}, expected {want_parity}")
-        if home is not None and home != want_home:
-            problems.append(f"{name}: lives in {home}-dim, expected {want_home}-dim")
-    return problems
 
 
 # -- statics -----------------------------------------------------------------
@@ -344,18 +304,6 @@ class PointCharge:
         new_cell = tuple(c % s for c, s in zip(raw_new, grid.shape))
         drho = {old_cell: -self.q, new_cell: self.q} if new_cell != old_cell else {}
         return J, drho
-
-
-def charge_conservation_check(rho_initial: np.ndarray, rho_final: np.ndarray,
-                              side_flux: float, region: np.ndarray) -> dict:
-    """Spacetime cylinder bookkeeping: initial charge minus final charge
-    inside the region must equal the net outward side flux."""
-    region = np.asarray(region, dtype=bool)
-    qi = float(rho_initial[region].sum())
-    qf = float(rho_final[region].sum())
-    leak = (qi - qf) - side_flux
-    return {"closed": abs(leak) < 1e-9 * max(1.0, abs(qi) + abs(qf)),
-            "initial": qi, "final": qf, "side_flux": side_flux, "leak": leak}
 
 
 # -- Lorentz force ------------------------------------------------------------

@@ -235,14 +235,6 @@ def metric_dual_vector(omega_terms: dict, g: Metric) -> list[Fraction]:
     return [sum(ginv[i][j] * co[j] for j in range(n)) for i in range(n)]
 
 
-def metric_dual_form(v: Sequence, g: Metric) -> dict:
-    """Flat: vector components -> constant 1-form coefficient map."""
-    v = [_as_fraction(x) for x in v]
-    n = g.dim
-    coeffs = {(i,): sum(g.matrix[i][j] * v[j] for j in range(n)) for i in range(n)}
-    return {k: c for k, c in coeffs.items() if c != 0}
-
-
 def induced_metric(jacobian: Sequence[Sequence], g: Metric) -> Metric:
     """Pullback of g along an affine map with the given n x m Jacobian
     (columns = images of the domain basis vectors)."""

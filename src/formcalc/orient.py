@@ -115,13 +115,6 @@ def untwist(external: OrientationFrame, tangent: OrientationFrame,
     return relative_sign(joined, manifold_orientation)
 
 
-def twist(sign: RelativeSign, tangent: OrientationFrame,
-          manifold_orientation: OrientationFrame,
-          external: OrientationFrame) -> RelativeSign:
-    """Sign the external frame must carry so untwisting returns ``sign``."""
-    return sign * untwist(external, tangent, manifold_orientation)
-
-
 def induced_boundary_sign(cell: Sequence[int], facet: Sequence[int]) -> RelativeSign:
     """Sign of the orientation a facet inherits from an ordered simplex.
 

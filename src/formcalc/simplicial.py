@@ -167,9 +167,6 @@ class SimplicialComplex:
             coeffs = {i: Fraction(1) for i in range(self.num_simplices(n))}
         return Chain(n, coeffs, parity)
 
-    def embedding_dim(self) -> int:
-        return len(self.vertices[0]) if self.vertices else 0
-
 
 @dataclass(frozen=True)
 class Chain:

@@ -12,25 +12,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from formcalc import meshes
-from formcalc.cli import stokes_disk_cochain
-from formcalc.cochain import Cochain, integrate, stokes_pairing_check, twist_cochain
-from formcalc.cohomology import betti_numbers, is_closed, is_exact, winding_cochain
+from formcalc import meshes, scenarios
+from formcalc.cochain import Cochain, twist_cochain
+from formcalc.cohomology import betti_numbers
 from formcalc.forms import PolyForm, PolyVectorField
-from formcalc.grid import RectGrid, box_node_set
-from formcalc.maxwell import (
-    EMState,
-    PointCharge,
-    evolve_leapfrog,
-    lorentz_force,
-    plane_wave_error,
-    solve_electrostatics,
-    solve_magnetostatics,
-)
+from formcalc.grid import RectGrid
+from formcalc.maxwell import EMState, PointCharge, evolve_leapfrog, lorentz_force
 from formcalc.metric import Metric, form_magnitude, gamma_factor, norm_squared
 from formcalc.parity import Parity
 from formcalc.poly import Poly
-from formcalc.simplicial import loop_chain
 
 
 def report(label, ok, detail=""):
@@ -42,10 +32,7 @@ def report(label, ok, detail=""):
 
 def test_acceptance_1_stokes_disk_minus7():
     start = time.time()
-    cx = meshes.disk()
-    omega = stokes_disk_cochain(cx)
-    fund = cx.fundamental_chain(Parity.TWISTED)
-    lhs, rhs = stokes_pairing_check(omega, fund, cx)
+    lhs, rhs = scenarios.stokes_disk_minus7().values["pairing"]
     elapsed = time.time() - start
     ok = lhs == Fraction(-7) and rhs == Fraction(-7) and elapsed < 1.0
     report("criterion 1: Stokes disk pairing = (-7, -7)", ok,
@@ -130,19 +117,17 @@ def test_acceptance_3_cohomology():
     start = time.time()
     tables = {
         "annulus": (meshes.annulus(), (1, 1, 0)),
-        "torus": (meshes.torus(), (1, 2, 1)),
         "sphere": (meshes.sphere_octahedron(), (1, 0, 1)),
         "disk": (meshes.disk(), (1, 0, 0)),
     }
     ok = all(betti_numbers(cx).betti == betti for cx, betti in tables.values())
+    ok = ok and scenarios.torus_betti().values["betti"] == (1, 2, 1)
     ok = ok and not betti_numbers(meshes.mobius_minimal()).orientable
 
-    ann = tables["annulus"][0]
-    w = winding_cochain(ann)
-    ok = ok and is_closed(w, ann) and not is_exact(w, ann)["exact"]
+    hole = scenarios.annulus_hole().values
+    ok = ok and hole["closed"] and not hole["exact"]
 
-    around = integrate(w, loop_chain(ann, [0, 1, 2, 3]))
-    trivial = integrate(w, loop_chain(ann, [0, 1, 5, 4]))
+    around, trivial = hole["hole"], hole["contractible"]
     elapsed = time.time() - start
     ok = ok and around != 0 and trivial == 0 and elapsed < 5.0
     report("criterion 3: Betti tables + winding cochain", ok,
@@ -152,15 +137,9 @@ def test_acceptance_3_cohomology():
 # -- criterion 4: twisted-form semantics ----------------------------------------
 
 def test_acceptance_4_twisted_semantics():
-    mob = meshes.mobius_minimal()
-    twisted = Cochain(2, tuple(Fraction(1) for _ in mob.simplices[2]),
-                      Parity.TWISTED, "exact")
-    total = integrate(twisted, mob.fundamental_chain(Parity.TWISTED))
-    errored = False
-    try:
-        mob.fundamental_chain(Parity.STRAIGHT)
-    except ValueError:
-        errored = True
+    mobius = scenarios.mobius_twisted_only().values
+    total = mobius["twisted_integral"]
+    errored = mobius["straight_error"] is not None
 
     cx = meshes.annulus()
     _, signs = cx.orientability()
@@ -174,7 +153,8 @@ def test_acceptance_4_twisted_semantics():
                     Parity.STRAIGHT, "exact")
         if twist_cochain(twist_cochain(c, cx, signs), cx, signs) == c:
             round_trips += 1
-    ok = total == len(mob.simplices[2]) and errored and round_trips == 1000
+    ok = (total == len(meshes.mobius_minimal().simplices[2]) and errored
+          and round_trips == 1000)
     report("criterion 4: twisted-only Mobius integration + twist round trip", ok,
            f"total = {total}, straight errored = {errored}, "
            f"round trips = {round_trips}/1000")
@@ -183,8 +163,7 @@ def test_acceptance_4_twisted_semantics():
 # -- criterion 5: F wedge F ------------------------------------------------------
 
 def test_acceptance_5_ffwedge():
-    f = PolyForm.basis(4, (0, 1)) + PolyForm.basis(4, (2, 3))
-    ff = f.wedge(f)
+    ff = scenarios.ffwedge_4d().values["FF"]
     expected = PolyForm.basis(4, (0, 1, 2, 3)).scale(Fraction(2))
     report("criterion 5: F^F = 2 dt^dx^dy^dz", ff == expected, str(ff))
 
@@ -194,13 +173,11 @@ def test_acceptance_5_ffwedge():
 def test_acceptance_6_electrostatics():
     start = time.time()
     q = 5.0
-    grid = RectGrid((32, 32, 32), (1.0, 1.0, 1.0))
-    rho = np.zeros(grid.node_shape)
-    rho[tuple(s // 2 for s in grid.node_shape)] = q
-    result = solve_electrostatics(grid, rho.ravel(), tol=1e-10)
-    fluxes = [result.flux_through_box(r) for r in (3, 6, 10)]
+    gauss = scenarios.gauss_point_charge().values
+    fluxes = gauss["fluxes"]
     elapsed = time.time() - start
-    ok = all(abs(f - q) / q <= 0.01 for f in fluxes) and elapsed < 60.0
+    ok = (gauss["charge"] == q and gauss["radii"] == (3, 6, 10)
+          and all(abs(f - q) / q <= 0.01 for f in fluxes) and elapsed < 60.0)
     report("criterion 6: point-charge flux = Q on three surfaces", ok,
            f"fluxes = {[round(f, 6) for f in fluxes]}, {elapsed:.1f}s")
 
@@ -210,16 +187,11 @@ def test_acceptance_6_electrostatics():
 def test_acceptance_7_magnetostatics():
     start = time.time()
     current = 2.5
-    grid = RectGrid((64, 64), (1.0, 1.0))
-    j = np.zeros(grid.node_shape)
-    j[tuple(s // 2 for s in grid.node_shape)] = current
-    result = solve_magnetostatics(grid, j.ravel(), tol=1e-10)
-    linking = [result.circulation_around(box_node_set(grid, r)) for r in (4, 9)]
-    off = np.zeros(grid.node_shape, dtype=bool)
-    off[2:8, 2:8] = True
-    non_linking = result.circulation_around(off.ravel())
+    wire = scenarios.ampere_wire().values
+    linking, non_linking = wire["linking"], wire["non_linking"]
     elapsed = time.time() - start
-    ok = (all(abs(c - current) / current <= 0.01 for c in linking)
+    ok = (wire["current"] == current and wire["radii"] == (4, 9)
+          and all(abs(c - current) / current <= 0.01 for c in linking)
           and abs(non_linking) <= 0.01 * current and elapsed < 60.0)
     report("criterion 7: wire circulation = I (linking), 0 (non-linking)", ok,
            f"linking = {[round(c, 6) for c in linking]}, "
@@ -230,12 +202,8 @@ def test_acceptance_7_magnetostatics():
 
 def test_acceptance_8_evolution():
     start = time.time()
-    errors = []
-    max_divb = 0.0
-    for n in (64, 128, 256):
-        err, divb = plane_wave_error(n)
-        errors.append(err)
-        max_divb = max(max_divb, divb)
+    wave = scenarios.plane_wave().values
+    errors, max_divb = wave["errors"], max(wave["max_divB"])
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
 
     # discrete continuity over 10,000 steps with a moving point charge
@@ -309,12 +277,10 @@ def test_acceptance_10_lorentz():
         worst = max(worst, abs(out["orthogonality"]))
         samples += 1
 
-    e0, q = Fraction(2), Fraction(3)
-    field = PolyForm.basis(4, (0,)).wedge(PolyForm.basis(4, (1,))).scale(e0)
-    rest = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    out = lorentz_force(q, rest, field, g)
-    comps = [c.constant_value() for c in out["vector"].components]
-    rest_ok = comps == [Fraction(0), q * e0, Fraction(0), Fraction(0)]
+    rest = scenarios.lorentz_rest_charge().values
+    comps = rest["force"]
+    rest_ok = (rest["E0"] == 2 and rest["charge"] == 3
+               and comps == [Fraction(0), Fraction(6), Fraction(0), Fraction(0)])
 
     ok = worst <= Fraction(1, 10 ** 12) and rest_ok
     report("criterion 10: g(f,V) = 0 on 1000 samples + rest charge = qE", ok,

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from formcalc import meshes
-from formcalc.cli import main, stokes_disk_cochain
+from formcalc import cli, meshes
+from formcalc.cli import main
 from formcalc.cochain import Cochain, cochain_to_csv
 from formcalc.parity import Parity
+from formcalc.scenarios import SCENARIOS, ScenarioResult, stokes_disk_cochain
 from formcalc.simplicial import mesh_to_text
 
 
@@ -94,7 +95,24 @@ def test_lorentz_subcommand(tmp_path, capsys):
 def test_demo_pass_and_unknown(capsys):
     assert main(["demo", "ffwedge-4d"]) == 0
     assert "PASS ffwedge-4d" in capsys.readouterr().out
-    assert main(["demo", "no-such-demo"]) == 2
+    assert main(["demo", "all"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["PASS", name] for name in SCENARIOS]
+    assert "Fraction(" not in out
+    with pytest.raises(SystemExit) as info:
+        main(["demo", "no-such-demo"])
+    assert info.value.code == 2
+
+
+def test_demo_all_runs_every_id_after_a_failure(monkeypatch, capsys):
+    broken = ScenarioResult("broken", False, {"half": Fraction(1, 2)}, "half = 1")
+    monkeypatch.setattr(cli, "SCENARIOS",
+                        {"broken": lambda: broken, "ffwedge-4d": SCENARIOS["ffwedge-4d"]})
+    assert main(["demo", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["FAIL broken  (half = 1/2)", "  claim: half = 1"]
+    assert lines[2].startswith("PASS ffwedge-4d")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -372,7 +372,7 @@ def test_dual_volume_ratios_match_per_simplex_reference(name, metric):
           "sphere": lambda: meshes.uniform_refine(
               meshes.uniform_refine(meshes.sphere_octahedron())),
           "tetrahedra": two_regular_tetrahedra}[name]()
-    d = cx.embedding_dim()
+    d = len(cx.vertices[0])
     g = Metric.diag(4, *[1] * (d - 1)) if metric else None
     for degree in range(cx.dim + 1):
         want = _dual_ratios_or_error(reference_dual_volume_ratios, cx, degree, g)

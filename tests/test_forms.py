@@ -162,8 +162,6 @@ def test_vector_pairing_and_directional_derivative():
     V = PolyVectorField.constant((Fraction(1), Fraction(2)))
     w = PolyForm.basis(2, (0,)).scale(Fraction(3))
     assert w.pair(V) == Poly.constant(2, Fraction(3))
-    f = parse_poly("x0^2*x1", 2)
-    assert V.apply_to_scalar(f) == parse_poly("2*x0*x1 + 2*x0^2", 2)
 
 
 def test_flat_sharp_round_trip():

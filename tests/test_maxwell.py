@@ -1,4 +1,4 @@
-"""Electromagnetic field dictionary, statics, evolution, Lorentz force."""
+"""Electromagnetic statics, evolution, Lorentz force."""
 
 import math
 import random
@@ -10,39 +10,18 @@ import pytest
 from formcalc.forms import PolyForm
 from formcalc.grid import RectGrid, box_node_set
 from formcalc.maxwell import (
-    FIELD_DICTIONARY,
     EMState,
     PointCharge,
     _curl,
     _diff,
     _div,
-    charge_conservation_check,
     evolve_leapfrog,
     lorentz_force,
     plane_wave,
     solve_electrostatics,
     solve_magnetostatics,
-    validate_dictionary,
 )
 from formcalc.metric import Metric
-from formcalc.parity import Parity
-
-
-def test_field_dictionary_contents():
-    assert FIELD_DICTIONARY["E"] == (1, Parity.STRAIGHT, 3)
-    assert FIELD_DICTIONARY["D"] == (2, Parity.TWISTED, 3)
-    assert FIELD_DICTIONARY["B"] == (2, Parity.STRAIGHT, 3)
-    assert FIELD_DICTIONARY["H"] == (1, Parity.TWISTED, 3)
-    assert FIELD_DICTIONARY["F"] == (2, Parity.STRAIGHT, 4)
-    assert FIELD_DICTIONARY["Hcal"] == (2, Parity.TWISTED, 4)
-    assert validate_dictionary(FIELD_DICTIONARY) == []
-
-
-def test_validate_dictionary_flags_violations():
-    bad = dict(FIELD_DICTIONARY)
-    bad["D"] = (2, Parity.STRAIGHT, 3)
-    problems = validate_dictionary(bad)
-    assert problems and any("D" in p for p in problems)
 
 
 def test_electrostatics_gauss_small_grid():
@@ -358,19 +337,6 @@ def test_operators_and_step_ignore_memory_layout(layout):
     assert all(same_bits(np.ascontiguousarray(g), w)
                for g, w in zip(got.E + got.B + [got.rho], want.E + want.B + [want.rho]))
     assert got.diagnostics == want.diagnostics
-
-
-def test_charge_conservation_check_helper():
-    grid = RectGrid((4, 4, 4), (1.0, 1.0, 1.0))
-    rho0 = np.zeros(grid.shape)
-    rho1 = np.zeros(grid.shape)
-    rho0[1, 1, 1] = 1.0
-    rho1[2, 1, 1] = 1.0
-    region = np.zeros(grid.shape, dtype=bool)
-    region[1, 1, 1] = True
-    # one unit of charge left the region: side flux must account for it
-    assert charge_conservation_check(rho0, rho1, 1.0, region)["closed"]
-    assert not charge_conservation_check(rho0, rho1, 0.0, region)["closed"]
 
 
 def test_lorentz_rest_charge():

@@ -11,7 +11,6 @@ from formcalc.orient import (
     concat,
     induced_boundary_sign,
     relative_sign,
-    twist,
     untwist,
 )
 from formcalc.parity import Parity
@@ -57,15 +56,6 @@ def test_untwist_external_first_convention():
     assert untwist(external_up, tangent, ccw) is RelativeSign.MINUS
     assert untwist(external_up, tangent,
                    OrientationFrame(((0, 1), (1, 0)))) is RelativeSign.PLUS
-
-
-def test_twist_untwist_round_trip():
-    ccw = OrientationFrame(((1, 0), (0, 1)))
-    tangent = OrientationFrame(((1, 1),))
-    external = OrientationFrame(((1, -1),))
-    for sign in (RelativeSign.PLUS, RelativeSign.MINUS):
-        twisted = twist(sign, tangent, ccw, external)
-        assert twisted * untwist(external, tangent, ccw) is sign
 
 
 def test_untwist_flips_with_manifold_orientation():
