@@ -110,13 +110,17 @@ class EMState:
         b2 = sum(float(np.vdot(a, a)) for a in self.B)
         return 0.5 * cellvol * (self.eps * e2 + b2 / self.mu)
 
-    def div_B(self) -> np.ndarray:
-        """Discrete dB on the 3-cells; conserved to round-off."""
-        return _div(self.B, self.grid.spacing)
+    def div_B(self, rows: tuple | None = None, out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
+        """Discrete dB on the 3-cells; conserved to round-off.  ``rows``,
+        ``out`` and ``tmp`` are as for ``_div``."""
+        return _div(self.B, self.grid.spacing, False, rows, out, tmp)
 
-    def div_D(self) -> np.ndarray:
-        """Discrete dD on the dual cells (per node, stored per cell index)."""
-        div = _div(self.E, self.grid.spacing, dual=True)
+    def div_D(self, rows: tuple | None = None, out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
+        """Discrete dD on the dual cells (per node, stored per cell index);
+        ``rows``, ``out`` and ``tmp`` are as for ``_div``."""
+        div = _div(self.E, self.grid.spacing, True, rows, out, tmp)
         div *= self.eps
         return div
 
@@ -125,36 +129,61 @@ class EMState:
 # of the primal lattice; on the dual lattice, whose cell i sits one half
 # step below, the same difference lands at i + 1 (the dual d is minus the
 # transpose of the primal one).  curl is d on 1-forms, div is d on 2-forms.
+#
+# Every operator works on a range of axis-0 planes, rows = (i0, i1), and
+# writes those planes only; the whole grid is the range (0, n).  Each
+# element goes through the same subtraction and division whatever the
+# range, so a sweep over slabs gives the whole-grid result bit for bit.
 
 def _diff(a: np.ndarray, axis: int, h: tuple, dual: bool = False,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """Periodic difference along ``axis`` over h[axis], into ``out`` or a
-    new C-ordered array.  ``out`` must be C-contiguous: reshaping any
-    other array silently returns a copy, and the result would be lost.
+          out: np.ndarray | None = None, rows: tuple | None = None) -> np.ndarray:
+    """Periodic difference along ``axis`` over h[axis] for the planes
+    ``rows`` of axis 0 (default all), into ``out`` or a new C-ordered
+    array of shape (i1 - i0, *a.shape[1:]).  ``out`` must be C-contiguous:
+    reshaping any other array silently returns a copy, and the result
+    would be lost.
 
-    In C order the neighbour along ``axis`` sits prod(shape[axis+1:])
-    entries further on, so one subtraction over the flattened arrays gives
-    every difference; the plane it gets wrong, where i + 1 wraps to 0, is
-    then overwritten."""
-    a = np.ascontiguousarray(a)
+    Along axis 0 the neighbour planes are read from ``a`` itself, wrapping
+    at the last plane (primal) or the first (dual).  Along axes 1 and 2 the
+    slab a[i0:i1] holds every neighbour; in C order the neighbour sits
+    prod(shape[axis+1:]) entries further on, so one subtraction over the
+    flattened slab gives every difference, and the plane it gets wrong,
+    where the index wraps to 0, is then overwritten."""
+    n = a.shape[0]
+    i0, i1 = rows if rows is not None else (0, n)
     if out is None:
-        out = np.empty_like(a)
-    step = math.prod(a.shape[axis + 1:])
-    src, dst = a.reshape(-1), out.reshape(-1)
-    n = src.size - step
-    np.subtract(src[step:], src[:n], out=dst[step:] if dual else dst[:n])
-    planes, out_planes = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(planes[0], planes[-1], out=out_planes[0] if dual else out_planes[-1])
+        out = np.empty((i1 - i0, *a.shape[1:]))
+    if axis == 0:
+        if dual:  # out[i] = a[i] - a[i - 1]; plane 0 wraps to n - 1
+            lo = a[max(i0 - 1, 0):i1 - 1]
+            np.subtract(a[i1 - len(lo):i1], lo, out=out[len(out) - len(lo):])
+            if i0 == 0:
+                np.subtract(a[0], a[n - 1], out=out[0])
+        else:  # out[i] = a[i + 1] - a[i]; plane n - 1 wraps to 0
+            hi = a[i0 + 1:i1 + 1]
+            np.subtract(hi, a[i0:i0 + len(hi)], out=out[:len(hi)])
+            if i1 == n:
+                np.subtract(a[0], a[n - 1], out=out[-1])
+    else:
+        slab = np.ascontiguousarray(a[i0:i1])
+        step = math.prod(slab.shape[axis + 1:])
+        src, dst = slab.reshape(-1), out.reshape(-1)
+        m = src.size - step
+        np.subtract(src[step:], src[:m], out=dst[step:] if dual else dst[:m])
+        first, last = (slice(None),) * axis + (0,), (slice(None),) * axis + (-1,)
+        np.subtract(slab[first], slab[last], out=out[first if dual else last])
     out /= h[axis]
     return out
 
 
 def _curl_component(fields: list, d: int, h: tuple, dual: bool,
-                    out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Component d of curl into ``out``; ``tmp`` is scratch of the same shape."""
+                    out: np.ndarray, tmp: np.ndarray,
+                    rows: tuple | None = None) -> np.ndarray:
+    """Component d of curl over ``rows`` into ``out``; ``tmp`` is scratch
+    of the same shape."""
     a, b = (d + 1) % 3, (d + 2) % 3
-    _diff(fields[b], a, h, dual, out)
-    return np.subtract(out, _diff(fields[a], b, h, dual, tmp), out=out)
+    _diff(fields[b], a, h, dual, out, rows)
+    return np.subtract(out, _diff(fields[a], b, h, dual, tmp, rows), out=out)
 
 
 def _curl(fields: list, h: tuple, dual: bool = False) -> list:
@@ -163,17 +192,35 @@ def _curl(fields: list, h: tuple, dual: bool = False) -> list:
             for d in range(3)]
 
 
-def _div(fields: list, h: tuple, dual: bool = False) -> np.ndarray:
-    out = _diff(fields[0], 0, h, dual)
-    tmp = np.empty_like(out)
+def _div(fields: list, h: tuple, dual: bool = False, rows: tuple | None = None,
+         out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Divergence over the axis-0 planes ``rows`` (default all), into
+    ``out`` or a new array; ``tmp``, scratch of the same shape, is made
+    when not given."""
+    out = _diff(fields[0], 0, h, dual, out, rows)
+    if tmp is None:
+        tmp = np.empty_like(out)
     for d in (1, 2):
-        out += _diff(fields[d], d, h, dual, tmp)
+        out += _diff(fields[d], d, h, dual, tmp, rows)
     return out
 
 
-def _abs_max(a: np.ndarray) -> float:
-    """max |a| without an |a| temporary (abs turns a -0.0 into 0.0)."""
-    return abs(float(max(a.max(), -a.min())))
+def _abs_max(a: np.ndarray, start: float = 0.0) -> float:
+    """max(start, max |a|) without an |a| temporary (abs turns a -0.0 into
+    0.0); a NaN in ``a`` or in ``start`` gives NaN.  ``start`` carries the
+    maximum over earlier slabs."""
+    return abs(float(max(a.max(initial=start), -a.min(initial=-start))))
+
+
+# One slab of axis-0 planes fills about 512 KiB of scratch, so the two
+# scratch buffers and the field planes a slab reads stay in a 2 MiB L2.
+_SLAB_CELLS = 2**16
+
+
+def _slabs(shape: tuple) -> list:
+    """Row ranges of the axis-0 slabs that one leapfrog sweep visits."""
+    rows = max(1, _SLAB_CELLS // math.prod(shape[1:]))
+    return [(i0, min(i0 + rows, shape[0])) for i0 in range(0, shape[0], rows)]
 
 
 def evolve_leapfrog(state: EMState, steps: int, dt: float,
@@ -186,28 +233,43 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
     dual-cell charge increment (charge-conserving by construction of the
     deposition); cells left out carry no current or charge change.
 
-    Each step updates the fields in place through two work arrays."""
+    Each step sweeps the grid in slabs of axis-0 planes (``_slabs``): B
+    slab by slab, then E once B is complete, then the current, then the
+    divergence diagnostics slab by slab.  Fields are updated in place and
+    every intermediate goes through two slab-sized scratch buffers, so a
+    step allocates no array."""
+    if not (state.eps > 0 and state.mu > 0):
+        raise ValueError("material coefficients must be positive: "
+                         f"eps={state.eps}, mu={state.mu}")
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got steps={steps}")
     limit = state.cfl_limit()
-    if dt > limit * (1 + 1e-12):
-        raise ValueError(f"CFL violation: dt={dt} exceeds stability bound {limit}")
-    if state.eps <= 0 or state.mu <= 0:
-        raise ValueError("material coefficients must be positive")
+    if not 0 < dt <= limit * (1 + 1e-12):
+        raise ValueError(f"CFL violation: dt={dt} is not in (0, {limit}], "
+                         "the stability bound")
     h = state.grid.spacing
     hmin, cellvol = min(h), float(np.prod(h))
-    work, tmp = np.empty(state.grid.shape), np.empty(state.grid.shape)
+    slabs = _slabs(state.grid.shape)
+    size = (slabs[0][1], *state.grid.shape[1:])
+    work, tmp = np.empty(size), np.empty(size)
+    # per slab: its row range, the same as a slice, and its scratch views
+    sweep = [(rows, slice(*rows), work[:rows[1] - rows[0]], tmp[:rows[1] - rows[0]])
+             for rows in slabs]
     for step in range(steps):
-        for d, b in enumerate(state.B):
-            _curl_component(state.E, d, h, False, work, tmp)
-            work *= dt
-            b -= work
+        for rows, s, w, t in sweep:
+            for d, b in enumerate(state.B):
+                _curl_component(state.E, d, h, False, w, t, rows)
+                w *= dt
+                b[s] -= w
         J, drho = sources(step) if sources is not None else (None, None)
         if drho and state.rho is not None:
             for cell, increment in drho.items():
                 state.rho[cell] += increment
-        for d, e in enumerate(state.E):
-            _curl_component(state.B, d, h, True, work, tmp)
-            work *= dt / (state.eps * state.mu)
-            e += work
+        for rows, s, w, t in sweep:
+            for d, e in enumerate(state.E):
+                _curl_component(state.B, d, h, True, w, t, rows)
+                w *= dt / (state.eps * state.mu)
+                e[s] += w
         if J:
             for (d, i, j, k), density in J.items():
                 state.E[d][i, j, k] -= (dt / state.eps) * density
@@ -215,11 +277,16 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
         state.diagnostics["time"].append(state.time)
         state.diagnostics["energy"].append(state.energy())
         scale = max(max(_abs_max(b) for b in state.B), 1e-300)
-        state.diagnostics["max_divB"].append(_abs_max(state.div_B()) * hmin / scale)
+        div_b = gauss = 0.0
+        for rows, s, w, t in sweep:
+            div_b = _abs_max(state.div_B(rows, w, t), div_b)
+            if state.rho is not None:
+                residual = state.div_D(rows, w, t)
+                residual -= np.divide(state.rho[s], cellvol, out=t)
+                gauss = _abs_max(residual, gauss)
+        state.diagnostics["max_divB"].append(div_b * hmin / scale)
         if state.rho is not None:
-            gauss = state.div_D()
-            gauss -= np.divide(state.rho, cellvol, out=work)
-            state.diagnostics["gauss_residual"].append(_abs_max(gauss))
+            state.diagnostics["gauss_residual"].append(gauss)
     return state
 
 

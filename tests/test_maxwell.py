@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from formcalc.maxwell import (
     _curl,
     _diff,
     _div,
+    _slabs,
     evolve_leapfrog,
     lorentz_force,
     plane_wave,
@@ -102,6 +104,27 @@ def test_cfl_enforced():
     state, dt, _ = plane_wave(16)
     with pytest.raises(ValueError, match="CFL"):
         evolve_leapfrog(state, 1, 10 * state.cfl_limit())
+
+
+@pytest.mark.parametrize("eps, mu, dt_over_limit, steps, named", [
+    (0.0, 1.0, 0.5, 1, "eps=0.0"),
+    (-1.0, 1.0, 0.5, 1, "eps=-1.0"),
+    (1.0, 0.0, 0.5, 1, "mu=0.0"),
+    (1.0, -1.0, 0.5, 1, "mu=-1.0"),
+    (1.0, 1.0, math.nan, 1, "dt=nan"),
+    (1.0, 1.0, -10.0, 1, "dt=-"),
+    (1.0, 1.0, 0.5, -1, "steps=-1"),
+])
+def test_leapfrog_rejects_bad_input_before_any_arithmetic(eps, mu, dt_over_limit,
+                                                         steps, named):
+    state, _, _ = plane_wave(16)
+    dt = dt_over_limit * state.cfl_limit()
+    state.eps, state.mu = eps, mu
+    fields = [a.copy() for a in state.E + state.B]
+    with pytest.raises(ValueError, match=named):
+        evolve_leapfrog(state, steps, dt)
+    assert all(same_bits(a, b) for a, b in zip(state.E + state.B, fields))
+    assert state.time == 0.0 and not state.diagnostics["time"]
 
 
 # Reference stencils written with np.roll, one per operator: _curl, div_B
@@ -261,8 +284,7 @@ def full_array_step(state, dt, J, drho):
     diag["gauss_residual"].append(float(np.abs(gauss).max()))
 
 
-def anisotropic_state(layout=np.ascontiguousarray):
-    shape = (12, 10, 8)
+def anisotropic_state(layout=np.ascontiguousarray, shape=(12, 10, 8)):
     grid = RectGrid(shape, tuple(L / n for L, n in zip((0.7, 1.1, 0.4), shape)))
     state = EMState.zeros(grid, eps=1.3, mu=0.8)
     rng = np.random.default_rng(17)
@@ -310,6 +332,86 @@ def test_leapfrog_step_matches_full_array_reference_bitwise():
         assert same_bits(np.array(state.diagnostics[key]), np.array(ref.diagnostics[key]))
     np.testing.assert_allclose(state.diagnostics["energy"], ref.diagnostics["energy"],
                                rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_multi_slab_step_matches_full_array_reference_bitwise(layout):
+    # three slabs of 16, 16 and 3 planes: the step and the diagnostics
+    # cross two slab seams and the periodic seam between slabs 3 and 1
+    shape, steps, turn = (35, 64, 64), 8, 4
+    assert [i1 - i0 for i0, i1 in _slabs(shape)] == [16, 16, 3]
+    state, ref = anisotropic_state(layout, shape), anisotropic_state(layout, shape)
+    # starts in the last plane along x and crosses the wrap face to plane
+    # 0, then turns back through it; the current lands in both end slabs
+    charges = [PointCharge(2.5, (0.695, 0.5, 0.2), (1.0, 0.3, -0.2))
+               for _ in range(2)]
+    state.rho[charges[0].cell_of(state.grid)] = 2.5
+    ref.rho[charges[1].cell_of(ref.grid)] = 2.5
+    # a larger fixed charge in the middle slab holds the largest Gauss
+    # residual, so a sweep that keeps one slab's maximum only is caught
+    state.rho[20, 30, 30] = ref.rho[20, 30, 30] = -4.0
+    dt = 0.9 * state.cfl_limit()
+    wraps = set()
+
+    def sources(step):
+        if step == turn:
+            charges[0].v = -charges[0].v
+        J, drho = charges[0].push(state.grid, dt)
+        wraps.update(density > 0 for (d, i, *_), density in J.items()
+                     if d == 0 and i == shape[0] - 1)
+        return J, drho
+
+    evolve_leapfrog(state, steps, dt, sources)
+    for step in range(steps):
+        if step == turn:
+            charges[1].v = -charges[1].v
+        full_array_step(ref, dt, *scatter(shape, *charges[1].push(ref.grid, dt)))
+
+    assert wraps == {True, False}
+    assert all(same_bits(np.ascontiguousarray(a), np.ascontiguousarray(b))
+               for a, b in zip(state.E + state.B + [state.rho], ref.E + ref.B + [ref.rho]))
+    assert state.time == ref.time
+    for key in ("time", "max_divB", "gauss_residual"):
+        assert same_bits(np.array(state.diagnostics[key]), np.array(ref.diagnostics[key]))
+    np.testing.assert_allclose(state.diagnostics["energy"], ref.diagnostics["energy"],
+                               rtol=1e-13, atol=0)
+    div_b, div_d = state.div_B(), state.div_D()
+    work, tmp = np.empty((16, 64, 64)), np.empty((16, 64, 64))
+    for i0, i1 in _slabs(shape):
+        assert same_bits(state.div_B((i0, i1)), div_b[i0:i1])
+        assert same_bits(state.div_D((i0, i1)), div_d[i0:i1])
+        w, t = work[:i1 - i0], tmp[:i1 - i0]
+        assert same_bits(state.div_B((i0, i1), w, t), div_b[i0:i1])
+        assert same_bits(state.div_D((i0, i1), w, t), div_d[i0:i1])
+
+
+def traced_peak_of_leapfrog(steps):
+    """Peak bytes tracemalloc sees while ``steps`` steps of a 32^3 grid
+    with a moving charge run."""
+    grid = RectGrid((32, 32, 32), (1.0 / 32,) * 3)
+    state = EMState.zeros(grid)
+    state.E[2][:] = np.random.default_rng(2).standard_normal(grid.shape)
+    charge = PointCharge(1.0, (0.49, 0.51, 0.5), (0.3, -0.3, 0.2))
+    state.rho[charge.cell_of(grid)] = 1.0
+    dt = 0.5 * state.cfl_limit()
+    tracemalloc.start()
+    try:
+        evolve_leapfrog(state, steps, dt, lambda step: charge.push(grid, dt))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_leapfrog_step_and_diagnostics_allocate_no_array():
+    # the two scratch buffers are the only arrays; the slack, a quarter of
+    # one 32^3 array, covers the diagnostics lists, the charge's small
+    # vectors and the buffers numpy's iterator takes for the strided
+    # wrap plane along axis 1 (about 26 KB here)
+    (i0, i1), = _slabs((32, 32, 32))
+    buffers, slack = 2 * (i1 - i0) * 32 * 32 * 8, 64 * 1024
+    short, long = traced_peak_of_leapfrog(2), traced_peak_of_leapfrog(20)
+    assert long - short <= slack
+    assert long <= buffers + slack
 
 
 def transposed_view(a):
