@@ -66,12 +66,19 @@ def solve_magnetostatics(grid: RectGrid, current_per_node: np.ndarray,
     if grid.dim != 2:
         raise ValueError("magnetostatics solver works on the transverse 2-dim grid")
     j = np.asarray(current_per_node, dtype=float).ravel()
-    inv_mu = 1.0 / np.asarray(mu, dtype=float)
+    with np.errstate(divide="ignore"):  # mu = 0 gives inf, which the solver rejects
+        inv_mu = 1.0 / np.asarray(mu, dtype=float)
     sol = solve_poisson_grounded(grid, j, inv_mu, tol=tol)
     return MagnetostaticsResult(sol, grid)
 
 
 # -- leapfrog evolution -------------------------------------------------------
+
+def _check_materials(eps: float, mu: float) -> None:
+    if not (0 < eps < math.inf and 0 < mu < math.inf):
+        raise ValueError("material coefficients must be positive and finite: "
+                         f"eps={eps}, mu={mu}")
+
 
 @dataclass
 class EMState:
@@ -96,11 +103,13 @@ class EMState:
         if grid.dim != 3:
             raise ValueError("EMState uses 3-dim periodic grids "
                              "(use a single cell along ignored axes)")
+        _check_materials(eps, mu)
         E = [np.zeros(grid.shape) for _ in range(3)]
         B = [np.zeros(grid.shape) for _ in range(3)]
         return EMState(grid, E, B, eps, mu, rho=np.zeros(grid.shape))
 
     def cfl_limit(self) -> float:
+        _check_materials(self.eps, self.mu)
         c = 1.0 / math.sqrt(self.eps * self.mu)
         return 1.0 / (c * math.sqrt(sum(1.0 / h**2 for h in self.grid.spacing)))
 
@@ -238,12 +247,9 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
     divergence diagnostics slab by slab.  Fields are updated in place and
     every intermediate goes through two slab-sized scratch buffers, so a
     step allocates no array."""
-    if not (state.eps > 0 and state.mu > 0):
-        raise ValueError("material coefficients must be positive: "
-                         f"eps={state.eps}, mu={state.mu}")
+    limit = state.cfl_limit()
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got steps={steps}")
-    limit = state.cfl_limit()
     if not 0 < dt <= limit * (1 + 1e-12):
         raise ValueError(f"CFL violation: dt={dt} is not in (0, {limit}], "
                          "the stability bound")

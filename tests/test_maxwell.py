@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,16 @@ def test_magnetostatics_ampere():
     assert abs(result.circulation_around(off.ravel())) < 0.02
 
 
+def test_magnetostatics_rejects_zero_mu_without_a_warning():
+    grid = RectGrid((8, 8), (1.0, 1.0))
+    current = np.zeros(grid.node_count())
+    current[grid.node_count() // 2] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coefficient"):
+            solve_magnetostatics(grid, current, mu=0.0)
+
+
 def test_leapfrog_second_order():
     errors = []
     for n in (32, 64):
@@ -125,6 +136,20 @@ def test_leapfrog_rejects_bad_input_before_any_arithmetic(eps, mu, dt_over_limit
         evolve_leapfrog(state, steps, dt)
     assert all(same_bits(a, b) for a, b in zip(state.E + state.B, fields))
     assert state.time == 0.0 and not state.diagnostics["time"]
+
+
+@pytest.mark.parametrize("eps, mu, named", [
+    (0.0, 1.0, "eps=0.0"), (-1.0, 1.0, "eps=-1.0"), (math.inf, 1.0, "eps=inf"),
+    (1.0, 0.0, "mu=0.0"), (1.0, -1.0, "mu=-1.0"), (1.0, math.nan, "mu=nan"),
+])
+def test_emstate_rejects_non_positive_materials(eps, mu, named):
+    grid = RectGrid((4, 4, 4), (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=named):
+        EMState.zeros(grid, eps=eps, mu=mu)
+    state = EMState.zeros(grid)
+    state.eps, state.mu = eps, mu
+    with pytest.raises(ValueError, match=named):
+        state.cfl_limit()
 
 
 # Reference stencils written with np.roll, one per operator: _curl, div_B
