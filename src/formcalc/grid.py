@@ -1,9 +1,12 @@
 """Rectilinear (tensor-product) grids: diagonal Hodge and statics solves.
 
 Grids keep their native rectilinear structure instead of being split into
-simplices, which keeps the diagonal Hodge star well-defined.  Every
-operator is assembled axis by axis, as on the tensor-product cube complex:
-d0 is the stack over axes of identities Kronecker a 1-D difference.
+simplices, which keeps the diagonal Hodge star well-defined.  Operators are
+assembled from index arithmetic on the C-ordered node array: an edge along
+axis d joins a tail node to the node one axis-d stride further on, so d0
+has -1 at the tail and +1 at the head of each edge, and the grounded
+operator d0^T diag(w) d0 on the interior nodes is a (2 dim + 1)-point
+stencil whose entries are sums of edge weights.
 """
 
 from __future__ import annotations
@@ -68,22 +71,29 @@ def _along(axis: int, sl, ndim: int) -> tuple:
     return tuple(index)
 
 
-def _node_box(per_axis: list[np.ndarray]) -> np.ndarray:
-    """Flat mask of the nodes whose index along every axis ``d`` is selected
-    by the boolean array ``per_axis[d]``."""
-    axes = np.meshgrid(*per_axis, indexing="ij", sparse=True)
-    return reduce(np.logical_and, axes).ravel()
+def _strides(shape: tuple) -> list[int]:
+    """Flat-index step of one unit along each axis of a C-ordered array."""
+    return [math.prod(shape[d + 1:]) for d in range(len(shape))]
 
 
 def gradient_matrix(grid: RectGrid) -> sparse.csr_matrix:
-    """Node-to-edge difference operator (the degree-0 coboundary)."""
-    blocks = []
-    for d, n in enumerate(grid.node_shape):
-        diff = sparse.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
-        factors = [diff if a == d else sparse.identity(m)
-                   for a, m in enumerate(grid.node_shape)]
-        blocks.append(reduce(sparse.kron, factors))
-    return sparse.vstack(blocks, format="csr")
+    """Node-to-edge difference operator (the degree-0 coboundary).
+
+    Canonical CSR with two entries per edge row: -1 at the tail node and +1
+    at the head, which is the tail plus the axis stride of the node array.
+    Heads follow tails, so every row's column indices come sorted."""
+    nodes = np.arange(grid.node_count(), dtype=np.int32).reshape(grid.node_shape)
+    tails, heads = [], []
+    for d, stride in enumerate(_strides(grid.node_shape)):
+        tail = nodes[_along(d, slice(None, -1), grid.dim)].ravel()
+        tails.append(tail)
+        heads.append(tail + np.int32(stride))
+    ends = np.stack([np.concatenate(tails), np.concatenate(heads)], axis=1)
+    edges = len(ends)
+    data = np.tile([-1.0, 1.0], edges)
+    indptr = np.arange(0, 2 * edges + 1, 2, dtype=np.int32)
+    return sparse.csr_matrix((data, ends.ravel(), indptr),
+                             shape=(edges, grid.node_count()))
 
 
 def edge_hodge_diagonal(grid: RectGrid, coeff_per_cell: np.ndarray | float,
@@ -157,11 +167,46 @@ def _uniform_inverse(grid: RectGrid) -> LinearOperator:
     return LinearOperator((size, size), matvec=apply, dtype=float)
 
 
+def _interior_operator(grid: RectGrid, weights: np.ndarray) -> sparse.csr_matrix:
+    """d0^T diag(weights) d0 restricted to the interior (free) nodes.
+
+    Assembled as a stencil on the free-node grid, of shape ``cells - 1``
+    per axis: the diagonal at a free node sums the weights of the 2 dim
+    edges touching it, and the off-diagonal at +-(axis-d stride) is -w for
+    the edge joining two free nodes along d, zero across the end of axis d.
+    An axis with fewer than two free nodes has no such couplings; skipping
+    it keeps the strides of the remaining axes distinct."""
+    free_shape = tuple(s - 1 for s in grid.shape)
+    size = math.prod(free_shape)
+    interior = tuple(slice(1, -1) for _ in free_shape)
+    diagonal = np.zeros(free_shape)
+    offsets, bands = [], []
+    for d, (block, stride) in enumerate(zip(grid.edge_blocks(weights),
+                                            _strides(free_shape))):
+        # the axis-d edges with a free tail or head: inside the box along the
+        # other axes, one more along d than there are free nodes
+        touching = block[interior[:d] + (slice(None),) + interior[d + 1:]]
+        diagonal += touching[_along(d, slice(None, -1), grid.dim)]
+        diagonal += touching[_along(d, slice(1, None), grid.dim)]
+        if free_shape[d] < 2:
+            continue
+        band = np.zeros(free_shape)
+        band[_along(d, slice(None, -1), grid.dim)] = -touching[
+            _along(d, slice(1, -1), grid.dim)]
+        band = band.ravel()[:size - stride]
+        offsets += [stride, -stride]
+        bands += [band, band]
+    return sparse.diags([diagonal.ravel(), *bands], [0, *offsets],
+                        shape=(size, size), format="csr")
+
+
 def solve_poisson_grounded(grid: RectGrid, source_per_node: np.ndarray,
                            coeff_per_cell: np.ndarray | float,
                            tol: float = 1e-10) -> StaticsSolution:
     """Solve d(coeff * hodge(d phi)) = -source with phi = 0 on the boundary.
 
+    The operator on the free (interior) nodes is assembled straight from its
+    stencil (``_interior_operator``); boundary rows are never built.
     Conjugate gradients on the free nodes, preconditioned with the exact
     inverse of the coefficient-1 operator (``_uniform_inverse``): one
     iteration for a uniform coefficient, a few dozen for a varying one
@@ -179,14 +224,14 @@ def solve_poisson_grounded(grid: RectGrid, source_per_node: np.ndarray,
     if not ((coeff > 0) & (coeff < math.inf)).all():
         raise ValueError("coefficient must be positive and finite in every cell, "
                          f"got values from {coeff.min()} to {coeff.max()}")
-    free = _node_box([np.arange(n) % (n - 1) != 0 for n in grid.node_shape])
-    if not free.any():
+    if min(grid.shape) < 2:
         raise ValueError("grid too small: every node is on the boundary")
+    interior = tuple(slice(1, -1) for _ in grid.shape)
+    free_shape = tuple(s - 1 for s in grid.shape)
     G = gradient_matrix(grid)
-    H = sparse.diags(edge_hodge_diagonal(grid, coeff))
-    L = (G.T @ H @ G).tocsr()
-    Lff = L[free][:, free]
-    rhs = src[free]
+    weights = edge_hodge_diagonal(grid, coeff)
+    Lff = _interior_operator(grid, weights)
+    rhs = src.reshape(grid.node_shape)[interior].ravel()
     iterations = 0
 
     def count(_xk):
@@ -198,17 +243,20 @@ def solve_poisson_grounded(grid: RectGrid, source_per_node: np.ndarray,
     if info != 0:
         raise RuntimeError(f"conjugate gradient did not converge (info={info}); "
                            f"residual {np.linalg.norm(Lff @ x - rhs):.3e}")
-    phi = np.zeros(grid.node_count())
-    phi[free] = x
+    phi = np.zeros(grid.node_shape)
+    phi[interior] = x.reshape(free_shape)
+    phi = phi.ravel()
     field = -(G @ phi)
-    flux = H.diagonal() * field
+    flux = weights * field
     res = float(np.linalg.norm(Lff @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
     return StaticsSolution(phi, field, flux, res, iterations)
 
 
 def box_node_set(grid: RectGrid, radius: int) -> np.ndarray:
     """Boolean mask of nodes within ``radius`` grid steps of the center."""
-    return _node_box([np.abs(np.arange(n) - n // 2) <= radius for n in grid.node_shape])
+    near = np.meshgrid(*[np.abs(np.arange(n) - n // 2) <= radius for n in grid.node_shape],
+                       indexing="ij", sparse=True)
+    return reduce(np.logical_and, near).ravel()
 
 
 def surface_flux(grid: RectGrid, flux_edges: np.ndarray, inside: np.ndarray,

@@ -242,6 +242,20 @@ def test_box_reaching_grounded_boundary_is_usage_error(outdir, capsys, argv):
     assert "flux" not in captured.out and "circulation" not in captured.out
 
 
+@pytest.mark.parametrize("argv, csv_name", [
+    (["maxwell-static-e", "--cells", "2", "--radii", "0", "--charge", "3.0"],
+     "electrostatics_flux.csv"),
+    (["maxwell-static-b", "--cells", "2", "--radii", "0", "--current", "3.0"],
+     "magnetostatics_circulation.csv"),
+], ids=["static-e", "static-b"])
+def test_two_cell_grid_recovers_its_source(outdir, capsys, argv, csv_name):
+    """Two cells per axis leave a single free node, the center."""
+    assert main(argv) == 0
+    rows = (outdir / csv_name).read_text().strip().splitlines()
+    radius, value = rows[1].split(",")
+    assert radius == "0" and abs(float(value) - 3.0) <= 1e-12 * 3.0
+
+
 def test_largest_box_inside_grounded_boundary_runs(outdir, capsys):
     assert main(["maxwell-static-e", "--cells", "8", "--radii", "3"]) == 0
     assert main(["maxwell-static-b", "--cells", "8", "--radii", "3"]) == 0
