@@ -37,7 +37,6 @@ from .maxwell import (
     solve_magnetostatics,
 )
 from .metric import parse_metric
-from .parity import Parity
 from .scenarios import SCENARIOS
 from .simplicial import MeshFormatError, SimplicialComplex, parse_mesh
 
@@ -115,8 +114,7 @@ def cmd_cohomology(args) -> int:
 def cmd_integrate(args) -> int:
     cx = _load_mesh(args.mesh)
     omega = _load_cochain(args.cochain, cx)
-    parity = Parity(args.parity) if args.parity else omega.parity
-    value = integrate(omega, cx.fundamental_chain(parity))
+    value = integrate(omega, cx.fundamental_chain(omega.parity))
     print("integral:", _fmt(value))
     return EXIT_OK
 
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "fundamental chain")
     p.add_argument("mesh")
     p.add_argument("cochain", help="cochain CSV file")
-    p.add_argument("--parity", choices=["straight", "twisted"], default=None)
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("stokes-check", help="report <d omega, cell> and "

@@ -15,8 +15,7 @@ from typing import Mapping, Sequence
 from .exact import det, perm_sign
 from .metric import Metric, metric_dual_vector
 from .parity import Parity
-from .poly import Poly, _accumulate, parse_poly
-from .simplicial import MeshFormatError
+from .poly import MeshFormatError, Poly, _accumulate, parse_poly
 
 
 def _coerce_poly(nvars: int, value) -> Poly:
@@ -157,10 +156,10 @@ class PolyForm:
 
     def interior(self, V: "PolyVectorField") -> "PolyForm":
         """Contraction by a vector field; degree drops, parity multiplies."""
-        if self.degree == 0:
-            return PolyForm.zero(self.ambient_dim, 0, self.parity * V.parity)
         if V.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        if self.degree == 0:
+            return PolyForm.zero(self.ambient_dim, 0, self.parity * V.parity)
         out: dict = {}
         for idx, coeff in self.terms.items():
             for j, i in enumerate(idx):
@@ -295,36 +294,6 @@ class PolyVectorField:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
-
-
-# -- module-level operation aliases (the operation vocabulary) ----------
-
-def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
-    return a.wedge(b)
-
-
-def exterior_derivative(w: PolyForm) -> PolyForm:
-    return w.d()
-
-
-def pair(w: PolyForm, V: PolyVectorField) -> Poly:
-    return w.pair(V)
-
-
-def interior_product(V: PolyVectorField, w: PolyForm) -> PolyForm:
-    return w.interior(V)
-
-
-def pullback(phi: Sequence[Poly], w: PolyForm) -> PolyForm:
-    return w.pullback(phi)
-
-
-def is_integrable_1form(w: PolyForm) -> bool:
-    return w.is_integrable()
-
-
-def hodge(w: PolyForm, g: Metric) -> PolyForm:
-    return w.hodge(g)
 
 
 # -- text serialization ---------------------------------------------------

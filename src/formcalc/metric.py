@@ -127,10 +127,6 @@ class Metric:
         return ";".join(" ".join(str(v) for v in row) for row in self.matrix)
 
 
-def norm_squared(v: Sequence, g: Metric) -> Fraction:
-    return g.inner(v, v)
-
-
 def classify(v: Sequence, g: Metric) -> tuple[CausalClass, TimeOrientation]:
     """Causal class of a nonzero vector; future/past from the time component.
 
@@ -219,6 +215,8 @@ def form_magnitude(form, g: Metric, point=None) -> tuple[float, int]:
 
     ``form`` is a PolyForm (its coefficients are evaluated at ``point``,
     default: the origin)."""
+    if form.ambient_dim != g.dim:
+        raise ValueError(f"the form has dimension {form.ambient_dim}, the metric {g.dim}")
     if point is None:
         point = [0] * form.ambient_dim
     terms = {idx: p.eval(point) for idx, p in form.terms.items()}

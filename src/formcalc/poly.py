@@ -3,6 +3,9 @@
 Kept deliberately small: these are coefficient objects for exact forms,
 not a computer-algebra system.  A polynomial in n variables is a map
 from exponent tuples (length n) to nonzero Fractions.
+
+``MeshFormatError``, raised by every text parser in the package, lives
+here beside ``parse_poly``: the lowest module its callers all import.
 """
 
 from __future__ import annotations
@@ -202,6 +205,15 @@ class Poly:
                 parts.append(str(c) + "*" + "*".join(factors))
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+class MeshFormatError(ValueError):
+    """Malformed input text: a mesh, a cochain CSV or a form.  Carries the
+    offending line number, or None when the error belongs to no line."""
+
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
 
 
 def parse_poly(text: str, nvars: int) -> Poly:

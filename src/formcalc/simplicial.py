@@ -3,6 +3,9 @@
 Orientation convention: the ordered vertex tuple of a simplex defines its
 internal orientation; odd permutations carry sign -1.  Boundary matrices
 have integer entries and compose to zero exactly.
+
+Malformed mesh text raises ``MeshFormatError``, which is defined in
+``formcalc.poly`` and imported here.
 """
 
 from __future__ import annotations
@@ -16,16 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .parity import Parity
-from .poly import _as_fraction
-
-
-class MeshFormatError(ValueError):
-    """Malformed input text: a mesh, a cochain CSV or a form.  Carries the
-    offending line number, or None when the error belongs to no line."""
-
-    def __init__(self, line: int | None, message: str):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+from .poly import MeshFormatError, _as_fraction
 
 
 def _vertex_rows(level: list[tuple], width: int) -> np.ndarray:
@@ -259,15 +253,6 @@ def loop_chain(complex: SimplicialComplex, vertices: Sequence[int]) -> Chain:
     for edge, sign in zip(edges.tolist(), np.where(start < end, 1, -1).tolist()):
         coeffs[edge] = coeffs.get(edge, 0) + sign
     return Chain(1, coeffs)
-
-
-def orientability(complex: SimplicialComplex):
-    ok, signs = complex.orientability()
-    return {"orientable": ok, "global_orientation": signs}
-
-
-def euler_characteristic(complex: SimplicialComplex) -> int:
-    return complex.euler_characteristic()
 
 
 # -- mesh text format -------------------------------------------------------

@@ -189,7 +189,9 @@ def test_nonpositive_cells_is_usage_error(outdir, command):
     ["maxwell-evolve", "--cells", "4", "--steps", "-1"],
     ["maxwell-static-e", "--cells", "4", "--radii", "2,x"],
     ["maxwell-static-b", "--cells", "4", "--radii", "2,x"],
-], ids=["evolve-negative-steps", "static-e-bad-radii", "static-b-bad-radii"])
+    ["integrate", "mobius", "unused.csv", "--parity", "twisted"],
+], ids=["evolve-negative-steps", "static-e-bad-radii", "static-b-bad-radii",
+        "integrate-no-parity-option"])
 def test_malformed_argument_is_usage_error(outdir, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)

@@ -1,6 +1,9 @@
 """Polynomial differential forms: algebra, derivatives, Hodge, identities."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formcalc
 from formcalc.cochain import Cochain
 from formcalc.forms import (
     PolyForm,
     PolyVectorField,
     form_from_text,
     form_to_text,
-    is_integrable_1form,
 )
 from formcalc.metric import Metric
 from formcalc.parity import Parity
@@ -115,6 +118,29 @@ def test_interior_product_antiderivation():
         assert a.interior(V).interior(V).is_zero()
 
 
+def test_interior_checks_dimension_at_every_degree():
+    """A 0-form contracts to zero, but only with a field on its own space."""
+    V = PolyVectorField.constant([1, 0])
+    for w in (PolyForm.scalar(3, 1), PolyForm.basis(3, (0,))):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            w.interior(V)
+    assert PolyForm.scalar(2, 1).interior(V) == PolyForm.zero(2, 0)
+
+
+def test_exact_modules_import_no_numpy():
+    """The exact layer needs only the standard library: importing it in a
+    fresh interpreter loads neither numpy nor SciPy."""
+    code = ("import sys\n"
+            "import formcalc, formcalc.exact, formcalc.poly, formcalc.parity\n"
+            "import formcalc.metric, formcalc.orient, formcalc.forms\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(formcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_hodge_euclidean_examples():
     e3 = Metric.euclidean(3)
     dx, dy, dz = (PolyForm.basis(3, (i,)) for i in range(3))
@@ -174,13 +200,13 @@ def test_integrability():
     # x dy is not integrable as a foliation normal? d(x dy) = dx^dy,
     # w ^ dw: 1-form wedge 2-form in 2-space overflows to zero -> integrable.
     w2 = PolyForm.basis(2, (1,)).scale(parse_poly("x0", 2))
-    assert is_integrable_1form(w2)
+    assert w2.is_integrable()
     # classic non-integrable contact form dz + x dy in 3-space
     contact = PolyForm.basis(3, (2,)) + PolyForm.basis(3, (1,)).scale(
         parse_poly("x0", 3))
-    assert not is_integrable_1form(contact)
+    assert not contact.is_integrable()
     # closed forms are always integrable
-    assert is_integrable_1form(parse_form_dx())
+    assert parse_form_dx().is_integrable()
 
 
 def parse_form_dx():

@@ -16,7 +16,6 @@ from formcalc.metric import (
     gamma_factor,
     induced_metric,
     metric_dual_vector,
-    norm_squared,
     orthogonal_complement,
     parse_metric,
 )
@@ -53,7 +52,7 @@ def test_classify_causal_character():
 def test_lightlike_self_orthogonality():
     g = Metric.minkowski(4)
     null = (Fraction(1), Fraction(1), Fraction(0), Fraction(0))
-    assert norm_squared(null, g) == 0
+    assert g.inner(null, null) == 0
 
 
 def test_gamma_factor_point_six():
@@ -90,6 +89,15 @@ def test_form_magnitude_lorentzian_sign():
     dt = PolyForm.basis(2, (0,))
     mag, sign = form_magnitude(dt, g)
     assert sign == -1 and mag == 1.0
+
+
+
+@pytest.mark.parametrize("form", [PolyForm.basis(2, (0,)), PolyForm.basis(4, (0,))],
+                         ids=["form-2d", "form-4d"])
+def test_form_magnitude_checks_dimension(form):
+    with pytest.raises(ValueError, match=f"the form has dimension {form.ambient_dim}, "
+                                         "the metric 3"):
+        form_magnitude(form, Metric.euclidean(3))
 
 
 def test_metric_dual_round_trip():
