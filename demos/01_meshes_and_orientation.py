@@ -5,6 +5,8 @@ surfaces admit a coherent (straight) orientation and which only a twisted
 one.
 """
 
+import numpy as np
+
 from formcalc import meshes, scenarios
 from formcalc.parity import Parity
 
@@ -26,7 +28,7 @@ print()
 print("boundary of the boundary vanishes:")
 for name, cx in surfaces.items():
     product = cx.boundary_matrix(1) @ cx.boundary_matrix(2)
-    print(f"  {name}: nonzero entries in d1*d2 = {product.nnz}")
+    print(f"  {name}: nonzero entries in d1*d2 = {np.count_nonzero(product)}")
 
 print()
 print("fundamental chains:")

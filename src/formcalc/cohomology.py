@@ -1,8 +1,9 @@
 """Hole detection: Betti numbers, torsion, closed-vs-exact cochains.
 
-All ranks come from exact integer Smith normal form of the boundary
-matrices (arbitrary-precision ints, no floats): a sparse +-1-pivot
-reduction, then integer SNF on the remaining block.  Primitives come from
+All ranks come from exact integer Smith normal form of the coboundary
+rows, read straight from the incidence arrays (arbitrary-precision ints,
+no floats): a sparse +-1-pivot reduction, then integer SNF on the
+remaining block.  Primitives come from
 exact rational elimination.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .cochain import Cochain, coboundary
 from .exact import solve
@@ -60,18 +63,19 @@ def _dense_snf(m: list[list[int]]) -> list[int]:
         m = [row[1:] for row in m[1:]]
 
 
-def smith_normal_form(matrix: list[list[int]]) -> list[int]:
-    """Invariant factors (diagonal of the SNF) of an integer matrix, each
-    dividing the next.
+def smith_normal_form(rows: list[dict[int, int]]) -> list[int]:
+    """Invariant factors (diagonal of the SNF) of an integer matrix given as
+    sparse rows (``rows[i][j]`` is entry (i, j); absent entries are 0),
+    each dividing the next.  The rows are not changed.
 
-    Stage 1 eliminates +-1 pivots on sparse rows: walking the rows in order,
-    a row that still holds a unit entry pivots on the one whose column has
-    the fewest nonzeros, row operations clear that column, and the pivot
-    row and column are dropped.  Column operations would then clear the
-    pivot row without touching any other entry, so each pivot is one
-    invariant factor 1.  Stage 2 runs the dense reduction on the block of
-    rows and columns that still hold entries."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    Stage 1 eliminates +-1 pivots on the sparse rows: walking the rows in
+    order, a row that still holds a unit entry pivots on the one whose
+    column has the fewest nonzeros, row operations clear that column, and
+    the pivot row and column are dropped.  Column operations would then
+    clear the pivot row without touching any other entry, so each pivot is
+    one invariant factor 1.  Stage 2 runs the dense reduction on the block
+    of rows and columns that still hold entries."""
+    rows = [{j: v for j, v in row.items() if v} for row in rows]
     column: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -130,7 +134,11 @@ def betti_numbers(complex: SimplicialComplex) -> CohomologyReport:
     torsions: list[tuple] = [()] * (n + 1)
     factor_lists: dict[int, list[int]] = {}
     for k in range(1, n + 1):
-        factors = smith_normal_form(complex.boundary_matrix(k).toarray().tolist())
+        # the coboundary d_k^T has the invariant factors of the boundary
+        # d_k; its row c lists the signed facets of k-simplex c
+        factors = smith_normal_form(
+            [dict(zip(f, s)) for f, s in zip(complex.faces[k].tolist(),
+                                             complex.face_signs[k].tolist())])
         ranks[k] = len(factors)
         factor_lists[k] = factors
     betti = []
@@ -156,9 +164,12 @@ def is_exact(omega: Cochain, complex: SimplicialComplex) -> dict:
     p = omega.degree
     if p == 0:
         return {"exact": omega.is_zero(), "primitive": None}
-    # the coboundary matrix from degree p-1 to p is boundary_matrix(p) transposed
-    D = complex.boundary_matrix(p).T.toarray().tolist()
-    sol = solve(D, [Fraction(v) for v in omega.values])
+    # the coboundary matrix from degree p-1 to p: row c holds the signs of
+    # the facets of p-simplex c
+    faces = complex.faces[p]
+    D = np.zeros((len(faces), complex.num_simplices(p - 1)), dtype=np.int64)
+    D[np.arange(len(faces))[:, None], faces] = complex.face_signs[p]
+    sol = solve(D.tolist(), [Fraction(v) for v in omega.values])
     if sol is None:
         return {"exact": False, "primitive": None}
     prim = Cochain(p - 1, tuple(sol), omega.parity, "exact")

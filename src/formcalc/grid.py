@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg
 
 
 @dataclass(frozen=True)
@@ -76,24 +75,18 @@ def _strides(shape: tuple) -> list[int]:
     return [math.prod(shape[d + 1:]) for d in range(len(shape))]
 
 
-def gradient_matrix(grid: RectGrid) -> sparse.csr_matrix:
-    """Node-to-edge difference operator (the degree-0 coboundary).
-
-    Canonical CSR with two entries per edge row: -1 at the tail node and +1
-    at the head, which is the tail plus the axis stride of the node array.
-    Heads follow tails, so every row's column indices come sorted."""
+def gradient_matrix(grid: RectGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Node-to-edge difference operator (the degree-0 coboundary) as the
+    tail and head node index of every edge, so that
+    ``(d0 phi)[e] = phi[head[e]] - phi[tail[e]]``.  The head is the tail
+    plus the axis stride of the node array."""
     nodes = np.arange(grid.node_count(), dtype=np.int32).reshape(grid.node_shape)
     tails, heads = [], []
     for d, stride in enumerate(_strides(grid.node_shape)):
         tail = nodes[_along(d, slice(None, -1), grid.dim)].ravel()
         tails.append(tail)
         heads.append(tail + np.int32(stride))
-    ends = np.stack([np.concatenate(tails), np.concatenate(heads)], axis=1)
-    edges = len(ends)
-    data = np.tile([-1.0, 1.0], edges)
-    indptr = np.arange(0, 2 * edges + 1, 2, dtype=np.int32)
-    return sparse.csr_matrix((data, ends.ravel(), indptr),
-                             shape=(edges, grid.node_count()))
+    return np.concatenate(tails), np.concatenate(heads)
 
 
 def edge_hodge_diagonal(grid: RectGrid, coeff_per_cell: np.ndarray | float,
@@ -101,11 +94,13 @@ def edge_hodge_diagonal(grid: RectGrid, coeff_per_cell: np.ndarray | float,
     """Diagonal Hodge weights for edges: material coefficient (averaged
     from adjacent cells) times dual-area / primal-length."""
     cells = np.asarray(coeff_per_cell, dtype=float)
-    if cells.ndim == 0:
-        cells = np.full(grid.shape, cells)
-    elif cells.shape != grid.shape:
-        raise ValueError("per-cell coefficient array must match grid shape")
     volume = math.prod(grid.spacing)
+    if cells.ndim == 0:
+        # every neighbour average of a constant is that constant
+        return np.concatenate([np.full(math.prod(grid.edge_shape(d)), volume / h**2 * cells)
+                               for d, h in enumerate(grid.spacing)])
+    if cells.shape != grid.shape:
+        raise ValueError("per-cell coefficient array must match grid shape")
     weights = []
     for d, h in enumerate(grid.spacing):
         # An edge along d touches the cells on either side of it along every
@@ -127,11 +122,12 @@ class StaticsSolution:
     potential: np.ndarray        # per node
     field_edges: np.ndarray      # E (or dA) per edge, primal 1-cochain
     flux_edges: np.ndarray       # D (or H) per edge's dual cell, twisted
-    residual: float
+    residual: float              # final true relative residual
     iterations: int              # preconditioned CG iterations
+    residuals: list[float]       # relative CG residual after each iteration
 
 
-def _uniform_inverse(grid: RectGrid) -> LinearOperator:
+def _uniform_inverse(grid: RectGrid) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of the coefficient-1 grounded operator on the free nodes.
 
     That operator is the sum over axes d of (volume / h_d**2) T_d, with
@@ -163,11 +159,63 @@ def _uniform_inverse(grid: RectGrid) -> LinearOperator:
         return sine_transform(sine_transform(v.reshape(free_shape))
                               * inverse_eigenvalues).ravel()
 
-    size = math.prod(free_shape)
-    return LinearOperator((size, size), matvec=apply, dtype=float)
+    return apply
 
 
-def _interior_operator(grid: RectGrid, weights: np.ndarray) -> sparse.csr_matrix:
+class Stencil:
+    """Symmetric operator on a flattened grid: ``diagonal`` plus, for each
+    ``(stride, band)``, ``band`` on the diagonals at +-stride.  ``nnz``
+    counts the nonzero entries of its matrix."""
+
+    def __init__(self, diagonal: np.ndarray, bands: list[tuple[int, np.ndarray]]):
+        self.diagonal, self.bands = diagonal, bands
+        self.nnz = int(np.count_nonzero(diagonal)) + 2 * sum(
+            int(np.count_nonzero(band)) for _, band in bands)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        y = self.diagonal * x
+        for stride, band in self.bands:
+            y[:-stride] += band * x[stride:]
+            y[stride:] += band * x[:-stride]
+        return y
+
+    __matmul__ = matvec
+
+
+def cg(A, b: np.ndarray, *, M: Callable[[np.ndarray], np.ndarray], rtol: float,
+       maxiter: int, callback: Callable[[np.ndarray], None] | None = None,
+       ) -> tuple[np.ndarray, int, list[float]]:
+    """Preconditioned conjugate gradients from x = 0 for a symmetric positive
+    definite ``A`` (anything with ``@``) and preconditioner ``M`` (Hestenes &
+    Stiefel 1952).  Stops once ||r|| <= rtol ||b||; calls ``callback(x)``
+    after each iteration.  Returns x, info (0 on convergence, else the
+    ``maxiter`` iterations run) and the relative residual ||r|| / ||b||
+    after each iteration."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    b_norm = np.linalg.norm(b)
+    residuals: list[float] = []
+    if b_norm == 0:
+        return x, 0, residuals
+    p, rho_prev = None, 1.0
+    for _ in range(maxiter):
+        z = M(r)
+        rho = r @ z
+        p = z if p is None else z + (rho / rho_prev) * p
+        q = A @ p
+        alpha = rho / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        residuals.append(float(np.linalg.norm(r) / b_norm))
+        if callback is not None:
+            callback(x)
+        if residuals[-1] <= rtol:
+            return x, 0, residuals
+    return x, maxiter, residuals
+
+
+def _interior_operator(grid: RectGrid, weights: np.ndarray) -> Stencil:
     """d0^T diag(weights) d0 restricted to the interior (free) nodes.
 
     Assembled as a stencil on the free-node grid, of shape ``cells - 1``
@@ -180,7 +228,7 @@ def _interior_operator(grid: RectGrid, weights: np.ndarray) -> sparse.csr_matrix
     size = math.prod(free_shape)
     interior = tuple(slice(1, -1) for _ in free_shape)
     diagonal = np.zeros(free_shape)
-    offsets, bands = [], []
+    bands = []
     for d, (block, stride) in enumerate(zip(grid.edge_blocks(weights),
                                             _strides(free_shape))):
         # the axis-d edges with a free tail or head: inside the box along the
@@ -193,11 +241,8 @@ def _interior_operator(grid: RectGrid, weights: np.ndarray) -> sparse.csr_matrix
         band = np.zeros(free_shape)
         band[_along(d, slice(None, -1), grid.dim)] = -touching[
             _along(d, slice(1, -1), grid.dim)]
-        band = band.ravel()[:size - stride]
-        offsets += [stride, -stride]
-        bands += [band, band]
-    return sparse.diags([diagonal.ravel(), *bands], [0, *offsets],
-                        shape=(size, size), format="csr")
+        bands.append((stride, band.ravel()[:size - stride]))
+    return Stencil(diagonal.ravel(), bands)
 
 
 def solve_poisson_grounded(grid: RectGrid, source_per_node: np.ndarray,
@@ -228,28 +273,21 @@ def solve_poisson_grounded(grid: RectGrid, source_per_node: np.ndarray,
         raise ValueError("grid too small: every node is on the boundary")
     interior = tuple(slice(1, -1) for _ in grid.shape)
     free_shape = tuple(s - 1 for s in grid.shape)
-    G = gradient_matrix(grid)
+    tail, head = gradient_matrix(grid)
     weights = edge_hodge_diagonal(grid, coeff)
     Lff = _interior_operator(grid, weights)
     rhs = src.reshape(grid.node_shape)[interior].ravel()
-    iterations = 0
-
-    def count(_xk):
-        nonlocal iterations
-        iterations += 1
-
-    x, info = cg(Lff, rhs, rtol=tol, atol=0.0, maxiter=20000, callback=count,
-                 M=_uniform_inverse(grid))
+    x, info, residuals = cg(Lff, rhs, M=_uniform_inverse(grid), rtol=tol, maxiter=20000)
     if info != 0:
         raise RuntimeError(f"conjugate gradient did not converge (info={info}); "
                            f"residual {np.linalg.norm(Lff @ x - rhs):.3e}")
     phi = np.zeros(grid.node_shape)
     phi[interior] = x.reshape(free_shape)
     phi = phi.ravel()
-    field = -(G @ phi)
+    field = phi[tail] - phi[head]  # -d0 phi
     flux = weights * field
     res = float(np.linalg.norm(Lff @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    return StaticsSolution(phi, field, flux, res, iterations)
+    return StaticsSolution(phi, field, flux, res, len(residuals), residuals)
 
 
 def box_node_set(grid: RectGrid, radius: int) -> np.ndarray:

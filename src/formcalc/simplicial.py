@@ -16,7 +16,6 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .parity import Parity
 from .poly import MeshFormatError, _as_fraction
@@ -81,16 +80,15 @@ class SimplicialComplex:
         found = _find_rows(table, query.reshape(-1, degree + 1))
         return int(found[0]) if query.ndim == 1 else found
 
-    def boundary_matrix(self, k: int) -> sparse.csr_matrix:
-        """Signed incidence matrix: rows (k-1)-simplices, cols k-simplices."""
+    def boundary_matrix(self, k: int) -> np.ndarray:
+        """Dense signed incidence matrix: rows (k-1)-simplices, cols
+        k-simplices."""
         if not 1 <= k <= self.dim:
             raise ValueError(f"no boundary matrix for degree {k}")
         faces = self.faces[k]
-        cols = np.repeat(np.arange(len(faces)), k + 1)
-        return sparse.csr_matrix(
-            (self.face_signs[k].ravel(), (faces.ravel(), cols)),
-            shape=(self.num_simplices(k - 1), self.num_simplices(k)),
-            dtype=np.int64)
+        matrix = np.zeros((self.num_simplices(k - 1), len(faces)), dtype=np.int64)
+        matrix[faces, np.arange(len(faces))[:, None]] = self.face_signs[k]
+        return matrix
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.num_simplices(k) for k in range(self.dim + 1))
@@ -115,9 +113,13 @@ class SimplicialComplex:
         if n == 0:
             return True, [1] * self.num_simplices(0)
         faces, face_signs = self.faces[n].tolist(), self.face_signs[n].tolist()
-        # row r of the boundary matrix lists the (at most two) cells on facet r
-        B = self.boundary_matrix(n)
-        starts, cells, cell_signs = B.indptr.tolist(), B.indices.tolist(), B.data.tolist()
+        # cells[starts[r]:starts[r + 1]] are the (at most two) cells on facet
+        # r, in ascending order, and cell_signs the facet's sign in each
+        order = np.argsort(self.faces[n], axis=None, kind="stable")
+        cells = (order // (n + 1)).tolist()
+        cell_signs = self.face_signs[n].ravel()[order].tolist()
+        counts = np.bincount(self.faces[n].ravel(), minlength=self.num_simplices(n - 1))
+        starts = [0, *np.cumsum(counts).tolist()]
         signs = [0] * self.num_simplices(n)
         for seed in range(len(signs)):
             if signs[seed]:

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import formcalc
 from formcalc import cli, meshes
 from formcalc.cli import main
 from formcalc.cochain import Cochain, cochain_to_csv
@@ -294,3 +298,25 @@ def test_dimension_mismatch_is_usage_error(tmp_path, capsys, argv, field):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
+
+
+def test_cli_and_solvers_never_import_scipy(tmp_path):
+    """The runtime needs numpy and the standard library only: in a fresh
+    interpreter, the CLI, a statics solve, Betti numbers and an exactness
+    test load no SciPy module (importing SciPy would double the start-up
+    of every run)."""
+    code = ("import sys\n"
+            "from formcalc import cli, meshes\n"
+            "from formcalc.cochain import Cochain, coboundary\n"
+            "from formcalc.cohomology import betti_numbers, is_exact\n"
+            "assert cli.main(['maxwell-static-e', '--cells', '8', '--radii', '1,3']) == 0\n"
+            "cx = meshes.uniform_refine(meshes.annulus())\n"
+            "assert betti_numbers(cx).betti == (1, 1, 0)\n"
+            "f = Cochain(0, tuple(range(cx.num_simplices(0))))\n"
+            "assert is_exact(coboundary(f, cx), cx)['exact']\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(formcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src, FORMCALC_OUTDIR=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"

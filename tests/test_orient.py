@@ -75,7 +75,7 @@ def test_frame_validation():
 
 def test_induced_boundary_sign_matches_matrix():
     cx = meshes.single_triangle()
-    d2 = cx.boundary_matrix(2).toarray()
+    d2 = cx.boundary_matrix(2)
     cell = cx.simplices[2][0]
     for i, facet in enumerate(cx.simplices[1]):
         assert induced_boundary_sign(cell, facet).value == d2[i, 0]
