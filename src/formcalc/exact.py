@@ -132,3 +132,33 @@ def inertia(rows) -> list[int]:
              for row in m]
         m = [row[:k] + row[k + 1:] for row in m]
     return signs
+
+
+def negative_vector(rows) -> list[Fraction] | None:
+    """A vector v with v^T A v < 0 for a symmetric matrix A, or None when A
+    is positive semidefinite.
+
+    The unit vector of the first negative diagonal entry when there is one;
+    otherwise each step takes a positive diagonal pivot, A-orthogonalizes
+    the other basis vectors against its own and keeps their Gram matrix."""
+    n = len(rows)
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    gram = [list(row) for row in rows]
+    while gram:
+        k = next((i for i, row in enumerate(gram) if row[i] < 0), None)
+        if k is not None:
+            return basis[k]
+        k = next((i for i, row in enumerate(gram) if row[i] > 0), None)
+        if k is None:
+            # a zero diagonal: b_i - sgn(A_ij) b_j has A-norm -2|A_ij|
+            i, j = next(((i, j) for i in range(len(gram)) for j in range(i + 1, len(gram))
+                         if gram[i][j] != 0), (None, None))
+            if i is None:
+                return None
+            s = 1 if gram[i][j] > 0 else -1
+            return [a - s * b for a, b in zip(basis[i], basis[j])]
+        pivot, inv = gram[k], Fraction(1) / gram[k][k]
+        rest = [i for i in range(len(gram)) if i != k]
+        basis = [[a - pivot[i] * inv * b for a, b in zip(basis[i], basis[k])] for i in rest]
+        gram = [[gram[i][j] - pivot[i] * inv * pivot[j] for j in rest] for i in rest]
+    return None

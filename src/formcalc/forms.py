@@ -9,13 +9,12 @@ double Hodge dual) hold exactly, not to tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Mapping, Sequence
 
-from .exact import det, perm_sign
+from .exact import perm_sign
 from .metric import Metric, metric_dual_vector
 from .parity import Parity
-from .poly import MeshFormatError, Poly, _accumulate, parse_poly
+from .poly import MeshFormatError, Poly, _accumulate, _as_fraction, parse_poly
 
 
 def _coerce_poly(nvars: int, value) -> Poly:
@@ -107,9 +106,13 @@ class PolyForm:
 
     def scale(self, scalar) -> "PolyForm":
         """Multiply by a scalar field (polynomial or rational constant)."""
-        s = _coerce_poly(self.ambient_dim, scalar)
-        return PolyForm._trusted(self.ambient_dim, self.degree,
-                                 {idx: s * c for idx, c in self.terms.items()}, self.parity)
+        if isinstance(scalar, Poly):
+            s = _coerce_poly(self.ambient_dim, scalar)
+            terms = {idx: s * c for idx, c in self.terms.items()}
+        else:
+            s = _as_fraction(scalar)
+            terms = {idx: c._scaled(s) for idx, c in self.terms.items()}
+        return PolyForm._trusted(self.ambient_dim, self.degree, terms, self.parity)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyForm):
@@ -199,21 +202,12 @@ class PolyForm:
         n = self.ambient_dim
         if g.dim != n:
             raise ValueError(f"the form has dimension {n}, the metric {g.dim}")
-        p = self.degree
-        ginv = g.inverse_matrix
-        scale = g.volume_scale()
-        full = tuple(range(n))
+        images = g.tables.hodge_images(self.degree)
         out: dict = {}
-        ksets = list(combinations(full, p))
         for idx, coeff in self.terms.items():
-            for K in ksets:
-                sub = [[ginv[i][j] for j in K] for i in idx]
-                d = det(sub)
-                if d == 0:
-                    continue
-                comp = tuple(i for i in full if i not in K)
-                _accumulate(out, comp, coeff * (scale * d * perm_sign(K + comp)))
-        return PolyForm._trusted(n, n - p, out, self.parity.flip())
+            for comp, factor in images[idx]:
+                _accumulate(out, comp, coeff._scaled(factor))
+        return PolyForm._trusted(n, n - self.degree, out, self.parity.flip())
 
     # -- pairings -------------------------------------------------------
     def pair(self, V: "PolyVectorField") -> Poly:
@@ -284,12 +278,10 @@ class PolyVectorField:
     def flat(self, g: Metric) -> PolyForm:
         """Metric-dual 1-form g(V, .)."""
         n = self.ambient_dim
-        terms = {}
-        for i in range(n):
-            c = Poly.zero(n)
-            for j in range(n):
-                c = c + g.matrix[i][j] * self.components[j]
-            terms[(i,)] = c
+        if g.dim != n:
+            raise ValueError(f"the vector field has dimension {n}, the metric {g.dim}")
+        terms = {(i,): sum((self.components[j]._scaled(gij) for j, gij in row), Poly.zero(n))
+                 for i, row in enumerate(g.tables.rows)}
         return PolyForm._trusted(n, 1, terms, self.parity)
 
     def __str__(self) -> str:

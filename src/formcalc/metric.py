@@ -2,6 +2,13 @@
 
 Only flat (constant-coefficient) metrics are supported.  The Lorentzian
 convention is mostly-plus: one minus sign, on the time direction.
+
+Everything the operations read from a metric is in its ``MetricTables``:
+det g, g^-1, the nonzero entries of g and g^-1 row by row, the nonzero
+p x p minors of g^-1 (its p-th compound), the Hodge image of every basis
+p-form, sqrt|det g| and a timelike reference vector.  The tables are keyed
+by the matrix value, so equal metrics share one; each entry is computed on
+first use, and ``metric_tables`` keeps the last TABLE_CACHE_SIZE matrices.
 """
 
 from __future__ import annotations
@@ -10,11 +17,16 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, lru_cache
+from itertools import combinations
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
-from .exact import det, inertia, inverse
+from .exact import det, inertia, inverse, negative_vector, perm_sign
 from .poly import _as_fraction
+
+TABLE_CACHE_SIZE = 128
+_IRRATIONAL_SCALE = "sqrt|det g| is irrational; use an orthonormal-scaled metric"
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -26,6 +38,98 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
+
+
+def _nonzero_rows(matrix) -> tuple:
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in matrix)
+
+
+class MetricTables:
+    """What the metric operations read, for one matrix value; each entry is
+    computed on first use.  Every metric equal to that value shares these,
+    so each entry is immutable: tuples, or read-only mappings."""
+
+    def __init__(self, matrix: tuple):
+        self.matrix = matrix
+        self.dim = len(matrix)
+        self._compound: dict[int, Mapping] = {}
+        self._hodge: dict[int, Mapping] = {}
+
+    @cached_property
+    def det(self) -> Fraction:
+        return det(self.matrix)
+
+    @cached_property
+    def inverse(self) -> tuple:
+        """g^-1 as a tuple of row tuples."""
+        return tuple(map(tuple, inverse(self.matrix)))
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Row i of g as its nonzero (j, g_ij) pairs."""
+        return _nonzero_rows(self.matrix)
+
+    @cached_property
+    def inverse_rows(self) -> tuple:
+        """Row i of g^-1 as its nonzero (j, g^ij) pairs."""
+        return _nonzero_rows(self.inverse)
+
+    @cached_property
+    def volume_scale(self) -> Fraction | None:
+        """sqrt|det g| when it is rational, else None."""
+        return _fraction_sqrt(abs(self.det))
+
+    @cached_property
+    def time_reference(self) -> tuple | None:
+        """A timelike vector T: e_t for the first g_tt < 0, else one found by
+        symmetric elimination; None when g has no timelike vector."""
+        v = negative_vector(self.matrix)
+        return None if v is None else tuple(v)
+
+    def compound(self, p: int) -> Mapping:
+        """The p-th compound of g^-1: each index set I maps to the nonzero
+        minors det(g^-1[I, K]) as ((K, minor), ...).  A diagonal g^-1 has
+        only K = I, a product with no elimination."""
+        table = self._compound.get(p)
+        if table is None:
+            ginv = self.inverse
+            sets = list(combinations(range(self.dim), p))
+            if all(j == i for i, row in enumerate(self.inverse_rows) for j, _ in row):
+                table = {I: ((I, math.prod((ginv[i][i] for i in I), start=Fraction(1))),)
+                         for I in sets}
+            else:
+                table = {}
+                for I in sets:
+                    minors = ((K, det([[ginv[i][j] for j in K] for i in I])) for K in sets)
+                    table[I] = tuple((K, m) for K, m in minors if m)
+            table = self._compound[p] = MappingProxyType(table)
+        return table
+
+    def hodge_images(self, p: int) -> Mapping:
+        """The Hodge star of every basis p-form: I maps to ((C, factor), ...)
+        with *dx^I = sum factor dx^C, one term per nonzero minor (I, K), C the
+        complement of K and factor = sqrt|det g| * minor * sgn(K + C)."""
+        table = self._hodge.get(p)
+        if table is None:
+            scale = self.volume_scale
+            if scale is None:
+                raise ValueError(_IRRATIONAL_SCALE)
+            full = range(self.dim)
+            table = {}
+            for I, minors in self.compound(p).items():
+                images = []
+                for K, m in minors:
+                    C = tuple(i for i in full if i not in K)
+                    images.append((C, scale * m * perm_sign(K + C)))
+                table[I] = tuple(images)
+            table = self._hodge[p] = MappingProxyType(table)
+        return table
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def metric_tables(matrix: tuple) -> MetricTables:
+    """The one ``MetricTables`` of a matrix value (row tuples of Fraction)."""
+    return MetricTables(matrix)
 
 
 class CausalClass(enum.Enum):
@@ -92,13 +196,18 @@ class Metric:
     def is_lorentzian(self) -> bool:
         return sorted(self.signature)[0] < 0 and sum(1 for s in self.signature if s < 0) == 1
 
-    def det(self) -> Fraction:
-        return det(self.matrix)
-
     @cached_property
+    def tables(self) -> MetricTables:
+        """The tables of this matrix value, shared with every equal metric."""
+        return metric_tables(self.matrix)
+
+    def det(self) -> Fraction:
+        return self.tables.det
+
+    @property
     def inverse_matrix(self) -> tuple:
         """g^-1 as a tuple of row tuples, computed on first use."""
-        return tuple(map(tuple, inverse(self.matrix)))
+        return self.tables.inverse
 
     def inner(self, u: Sequence, v: Sequence) -> Fraction:
         u = [_as_fraction(x) for x in u]
@@ -106,18 +215,14 @@ class Metric:
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError(f"vectors of {len(u)} and {len(v)} components "
                              f"for a metric of dimension {self.dim}")
-        return sum(self.matrix[i][j] * u[i] * v[j]
-                   for i in range(self.dim) for j in range(self.dim))
-
-    @cached_property
-    def _volume_scale(self) -> Fraction | None:
-        return _fraction_sqrt(abs(self.det()))
+        return sum(gij * ui * v[j]
+                   for ui, row in zip(u, self.tables.rows) for j, gij in row)
 
     def volume_scale(self) -> Fraction:
         """sqrt|det g|, exact; raises if not a rational square."""
-        s = self._volume_scale
+        s = self.tables.volume_scale
         if s is None:
-            raise ValueError("sqrt|det g| is irrational; use an orthonormal-scaled metric")
+            raise ValueError(_IRRATIONAL_SCALE)
         return s
 
     def __str__(self) -> str:
@@ -128,10 +233,10 @@ class Metric:
 
 
 def classify(v: Sequence, g: Metric) -> tuple[CausalClass, TimeOrientation]:
-    """Causal class of a nonzero vector; future/past from the time component.
-
-    Requires a Lorentzian metric with the minus sign on coordinate 0 for
-    the time orientation; Riemannian vectors are all spacelike.
+    """Causal class of a nonzero vector from g(v, v); a timelike or
+    lightlike vector is future when g(v, T) < 0, with T the metric's
+    timelike reference (e_t for a diagonal metric with g_tt < 0, so future
+    means v_t > 0 there).  Riemannian vectors are all spacelike.
     """
     v = [_as_fraction(x) for x in v]
     if all(x == 0 for x in v):
@@ -141,15 +246,12 @@ def classify(v: Sequence, g: Metric) -> tuple[CausalClass, TimeOrientation]:
         return CausalClass.SPACELIKE, TimeOrientation.NONE
     if not g.is_lorentzian:
         raise ValueError("classification needs a Riemannian or Lorentzian metric")
-    time_axis = next(i for i in range(g.dim) if g.matrix[i][i] < 0)
-    if q < 0:
-        cls = CausalClass.TIMELIKE
-    elif q == 0:
-        cls = CausalClass.LIGHTLIKE
-    else:
+    if q > 0:
         return CausalClass.SPACELIKE, TimeOrientation.NONE
-    t = v[time_axis]
-    return cls, (TimeOrientation.FUTURE if t > 0 else TimeOrientation.PAST)
+    cls = CausalClass.TIMELIKE if q < 0 else CausalClass.LIGHTLIKE
+    # a causal vector is never g-orthogonal to a timelike one
+    future = g.inner(v, g.tables.time_reference) < 0
+    return cls, (TimeOrientation.FUTURE if future else TimeOrientation.PAST)
 
 
 def gamma_factor(u: Sequence, v: Sequence, g: Metric):
@@ -176,37 +278,24 @@ def gamma_factor(u: Sequence, v: Sequence, g: Metric):
     return abs(g.inner(u, v))
 
 
-def orthogonal_complement(v: Sequence, g: Metric) -> list[list[Fraction]]:
-    """Basis of the g-orthogonal complement of a nonzero vector (n-1 vectors)."""
-    v = [_as_fraction(x) for x in v]
-    if all(x == 0 for x in v):
-        raise ValueError("zero vector has no orthogonal complement")
-    n = g.dim
-    # one linear condition: sum_j (g v)_j w_j = 0
-    gv = [sum(g.matrix[i][j] * v[j] for j in range(n)) for i in range(n)]
-    pivot = next(i for i in range(n) if gv[i] != 0)
-    basis = []
-    for j in range(n):
-        if j == pivot:
-            continue
-        w = [Fraction(0)] * n
-        w[j] = Fraction(1)
-        w[pivot] = -gv[j] / gv[pivot]
-        basis.append(w)
-    return basis
-
-
 def form_inner(a_terms: dict, b_terms: dict, g: Metric) -> Fraction:
     """Induced inner product of two constant p-forms given as
-    {index-set: Fraction} coefficient maps."""
-    ginv = g.inverse_matrix
+    {index-set: Fraction} coefficient maps, index sets strictly increasing:
+    the sum of a_I b_K det(g^-1[I, K]) over the nonzero minors."""
     total = Fraction(0)
+    if not (a_terms and b_terms):
+        return total
+    degrees = {len(idx) for idx in a_terms} | {len(idx) for idx in b_terms}
+    if len(degrees) > 1:
+        raise ValueError("degree mismatch")
+    minors = g.tables.compound(degrees.pop())
+    if not (a_terms.keys() <= minors.keys() and b_terms.keys() <= minors.keys()):
+        raise ValueError(f"index sets must be strictly increasing in 0..{g.dim - 1}")
     for idx_a, ca in a_terms.items():
-        for idx_b, cb in b_terms.items():
-            if len(idx_a) != len(idx_b):
-                raise ValueError("degree mismatch")
-            sub = [[ginv[i][j] for j in idx_b] for i in idx_a]
-            total += ca * cb * det(sub)
+        for K, m in minors[idx_a]:
+            cb = b_terms.get(K)
+            if cb is not None:
+                total += ca * cb * m
     return total
 
 
@@ -227,31 +316,8 @@ def form_magnitude(form, g: Metric, point=None) -> tuple[float, int]:
 
 def metric_dual_vector(omega_terms: dict, g: Metric) -> list[Fraction]:
     """Sharp: constant 1-form coefficients -> vector components."""
-    ginv = g.inverse_matrix
-    n = g.dim
-    co = [omega_terms.get((i,), Fraction(0)) for i in range(n)]
-    return [sum(ginv[i][j] * co[j] for j in range(n)) for i in range(n)]
-
-
-def induced_metric(jacobian: Sequence[Sequence], g: Metric) -> Metric:
-    """Pullback of g along an affine map with the given n x m Jacobian
-    (columns = images of the domain basis vectors)."""
-    J = [[_as_fraction(v) for v in row] for row in jacobian]
-    n = len(J)
-    if n != g.dim:
-        raise ValueError("Jacobian rows must match the metric dimension")
-    m = len(J[0]) if J else 0
-    rows = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            row.append(sum(g.matrix[i][j] * J[i][a] * J[j][b]
-                           for i in range(n) for j in range(n)))
-        rows.append(tuple(row))
-    try:
-        return Metric(tuple(rows))
-    except ValueError as exc:
-        raise ValueError(f"induced metric is degenerate: {exc}") from exc
+    co = [omega_terms.get((i,), Fraction(0)) for i in range(g.dim)]
+    return [sum(gij * co[j] for j, gij in row) for row in g.tables.inverse_rows]
 
 
 def parse_metric(text: str) -> Metric:

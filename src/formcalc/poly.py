@@ -55,9 +55,13 @@ class Poly:
     def _trusted(cls, nvars: int, terms: dict) -> "Poly":
         """Wrap canonical exponent tuples mapped to Fractions, built by this
         package; only zero coefficients are dropped."""
+        return cls._wrap(nvars, {e: c for e, c in terms.items() if c})
+
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict) -> "Poly":
+        """``_trusted`` for terms that are already all nonzero."""
         self = object.__new__(cls)
-        self.nvars, self._hash = nvars, None
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.nvars, self.terms, self._hash = nvars, terms, None
         return self
 
     # -- constructors -------------------------------------------------
@@ -105,7 +109,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._wrap(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -113,11 +117,35 @@ class Poly:
     def __rsub__(self, other) -> "Poly":
         return self._coerce(other) + (-self)
 
+    def _scaled(self, c: Fraction) -> "Poly":
+        """This polynomial times the Fraction ``c``, unchecked; x1 and x(-1)
+        multiply no coefficient."""
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
+        if not c:
+            return Poly._wrap(self.nvars, {})
+        return Poly._wrap(self.nvars, {e: c * v for e, v in self.terms.items()})
+
+    def _scalar(self) -> Fraction | None:
+        """The value of a nonzero constant polynomial, else None."""
+        if len(self.terms) == 1:
+            (exps, c), = self.terms.items()
+            if not any(exps):
+                return c
+        return None
+
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = _as_fraction(other)
-            return Poly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return self._scaled(_as_fraction(other))
         other = self._coerce(other)
+        c = other._scalar()
+        if c is not None:
+            return self._scaled(c)
+        c = self._scalar()
+        if c is not None:
+            return other._scaled(c)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -154,7 +182,7 @@ class Poly:
             k = exps[i]
             if k:
                 out[exps[:i] + (k - 1,) + exps[i + 1:]] = c * k
-        return Poly._trusted(self.nvars, out)
+        return Poly._wrap(self.nvars, out)
 
     def eval(self, point: Iterable) -> Fraction:
         point = [_as_fraction(x) for x in point]
@@ -175,14 +203,19 @@ class Poly:
         m = replacements[0].nvars if replacements else 0
         if any(r.nvars != m for r in replacements):
             raise ValueError("replacement polynomials disagree on variable count")
-        total = Poly.zero(m)
+        one = Poly._wrap(m, {(0,) * m: Fraction(1)})
+        powers = [[one, r] for r in replacements]  # r^e at [e], grown on demand
+        out: dict = {}
         for exps, c in self.terms.items():
-            term = Poly._trusted(m, {(0,) * m: c})
-            for r, e in zip(replacements, exps):
-                for _ in range(e):
-                    term = term * r
-            total = total + term
-        return total
+            term = one
+            for r, ps, e in zip(replacements, powers, exps):
+                if e:
+                    while len(ps) <= e:
+                        ps.append(ps[-1] * r)
+                    term = ps[e] if term is one else term * ps[e]
+            for key, v in term._scaled(c).terms.items():
+                _accumulate(out, key, v)
+        return Poly._trusted(m, out)
 
     # -- formatting ---------------------------------------------------
     def __repr__(self) -> str:

@@ -96,6 +96,27 @@ def test_lorentz_subcommand(tmp_path, capsys):
     assert "g(force, velocity): 0" in out
 
 
+def test_lorentz_under_a_metric_without_negative_diagonal_entry(tmp_path, capsys):
+    # g(v, v) = 2 v0 v1 = -1: a unit timelike velocity, though no g_tt < 0
+    path = tmp_path / "f.txt"
+    path.write_text("n=2 p=2; [0,1]: 1\n")
+    assert main(["lorentz", str(path), "--metric", "0 1; 1 0",
+                 "--velocity", "1,-1/2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("force covector: n=2 p=1 parity=straight; [0]: 1/2; [1]: 1\n"
+                            "force vector: (1, 1/2)\n"
+                            "g(force, velocity): 0\n")
+    assert captured.err == ""
+
+
+def test_hodge_under_a_non_diagonal_metric(tmp_path, capsys):
+    path = tmp_path / "form.txt"
+    path.write_text("n=3 p=1; [0]: x1; [2]: 1\n")
+    assert main(["hodge", str(path), "--metric", "2 1 0; 1 2 0; 0 0 3"]) == 0
+    assert capsys.readouterr().out == (
+        "n=3 p=2 parity=twisted; [0,1]: 1; [0,2]: x1; [1,2]: 2*x1\n")
+
+
 def test_demo_pass_and_unknown(capsys):
     assert main(["demo", "ffwedge-4d"]) == 0
     assert "PASS ffwedge-4d" in capsys.readouterr().out

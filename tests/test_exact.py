@@ -1,4 +1,5 @@
-"""Exact kernel: determinant, inverse, solve, rank, inertia, permutation sign.
+"""Exact kernel: determinant, inverse, solve, rank, inertia, negative
+directions, permutation sign.
 
 Properties over small random rational matrices; every value is a Fraction.
 """
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formcalc.exact import det, inertia, inverse, perm_sign, rank, solve
+from formcalc.exact import det, inertia, inverse, negative_vector, perm_sign, rank, solve
 
 dense_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 # zeros are drawn often so that singular and rank-deficient cases come up
@@ -91,6 +92,22 @@ def test_inertia_preserved_under_congruence(pair):
     PT = [list(col) for col in zip(*P)]
     congruent = matmul(matmul(P, S), PT)
     assert sorted(inertia(congruent)) == sorted(inertia(S))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square)
+def test_negative_vector_exists_exactly_when_inertia_has_a_minus(pair):
+    M, _ = pair
+    S = [[M[i][j] + M[j][i] for j in range(len(M))] for i in range(len(M))]
+    v = negative_vector(S)
+    assert (v is not None) == (-1 in inertia(S))
+    if v is not None:
+        assert all_fractions(v)
+        assert sum((v[i] * S[i][j] * v[j] for i in range(len(S)) for j in range(len(S))),
+                   Fraction(0)) < 0
+        negative = [i for i in range(len(S)) if S[i][i] < 0]
+        if negative:  # the first negative diagonal entry's unit vector
+            assert v == identity(len(S))[negative[0]]
 
 
 def test_inertia_of_zero_diagonal():

@@ -127,6 +127,12 @@ def test_interior_checks_dimension_at_every_degree():
     assert PolyForm.scalar(2, 1).interior(V) == PolyForm.zero(2, 0)
 
 
+def test_flat_checks_dimension():
+    # a larger metric's top-left block used to be read silently
+    with pytest.raises(ValueError, match="the vector field has dimension 2, the metric 3"):
+        PolyVectorField.constant([1, 2]).flat(Metric.euclidean(3))
+
+
 def test_exact_modules_import_no_numpy():
     """The exact layer needs only the standard library: importing it in a
     fresh interpreter loads neither numpy nor SciPy."""
@@ -340,6 +346,55 @@ def test_trusted_results_are_canonical(data):
     assert a.d().d().is_zero()
     assert a.interior(V).interior(V).is_zero()
     assert a.wedge(c) == c.wedge(a).scale((-1) ** (a.degree * c.degree))
+
+
+def reference_product(P, Q):
+    """Every pair of terms multiplied, as ``Poly.__mul__`` was first written."""
+    out = {}
+    for e1, c1 in P.terms.items():
+        for e2, c2 in Q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return Poly(P.nvars, out)
+
+
+def reference_subs(P, phi):
+    """Each term a constant multiplied by its replacements one factor at a time."""
+    m = phi[0].nvars
+    total = Poly.zero(m)
+    for exps, c in P.terms.items():
+        term = Poly.constant(m, c)
+        for r, e in zip(phi, exps):
+            for _ in range(e):
+                term = reference_product(term, r)
+        total = total + term
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_scalar_fast_paths_equal_the_term_by_term_products(data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    P, Q = data.draw(polys(n)), data.draw(polys(n))
+    r = data.draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(0)]) | fractions)
+    R = Poly.constant(n, r)
+    for got, expected in ((P * Q, reference_product(P, Q)), (P * R, reference_product(P, R)),
+                          (R * P, reference_product(R, P)), (P * r, reference_product(P, R)),
+                          (r * P, reference_product(R, P))):
+        assert got == expected
+        assert all(type(c) is Fraction for c in got.terms.values())
+    phi = [data.draw(polys(m)) for _ in range(n)]
+    assert P.subs(phi) == reference_subs(P, phi)
+
+    a = data.draw(forms(n))
+    scaled = {idx: reference_product(c, R) for idx, c in a.terms.items()}
+    assert a.scale(r) == a.scale(R) == PolyForm(n, a.degree, scaled, a.parity)
+
+
+def test_subs_reuses_powers_correctly_past_the_square():
+    P = parse_poly("x0^4*x1^3 + 2*x0^3 - x1^5 + 1/2", 2)
+    phi = [parse_poly("1 + x0 - 2*x1", 2), parse_poly("x0*x1 - 1/3", 2)]
+    assert P.subs(phi) == reference_subs(P, phi)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,24 +1,29 @@
-"""Metric structure: signature, causal classes, duals, magnitudes."""
+"""Metric structure: signature, causal classes, duals, magnitudes, and
+the value-keyed tables against the dense formulas they replace."""
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from formcalc.exact import inverse
-from formcalc.forms import PolyForm
+from formcalc.exact import det, inverse, perm_sign
+from formcalc.forms import PolyForm, PolyVectorField
 from formcalc.metric import (
     CausalClass,
     Metric,
     TimeOrientation,
     classify,
+    form_inner,
     form_magnitude,
     gamma_factor,
-    induced_metric,
     metric_dual_vector,
-    orthogonal_complement,
     parse_metric,
 )
+from formcalc.parity import Parity
+from formcalc.poly import Poly
 
 
 def test_signature():
@@ -107,26 +112,6 @@ def test_metric_dual_round_trip():
     assert v == [Fraction(-2), Fraction(0), Fraction(-5)]
 
 
-def test_orthogonal_complement():
-    g = Metric.minkowski(2)
-    basis = orthogonal_complement((Fraction(1), Fraction(0)), g)
-    assert len(basis) == 1
-    assert g.inner(basis[0], (Fraction(1), Fraction(0))) == 0
-    # lightlike vectors are inside their own complement
-    null = (Fraction(1), Fraction(1))
-    comp = orthogonal_complement(null, g)
-    assert any(g.inner(b, null) == 0 for b in comp)
-
-
-def test_induced_metric_on_hyperboloid_tangent():
-    # tangent line to the unit hyperboloid at (5/4, 3/4) is spacelike
-    g = Metric.minkowski(2)
-    jac = [[Fraction(3, 4)], [Fraction(5, 4)]]
-    induced = induced_metric(jac, g)
-    assert induced.matrix[0][0] == Fraction(1)
-    assert induced.is_riemannian
-
-
 def test_volume_scale():
     g = Metric.diag(Fraction(4), Fraction(9))
     assert g.volume_scale() == Fraction(6)
@@ -150,3 +135,189 @@ def test_parse_metric():
     assert h.matrix[0][1] == Fraction(1, 2)
     with pytest.raises(ValueError):
         parse_metric("diag(1,2); extra")
+
+
+# -- classification without a negative diagonal entry -----------------------
+
+NULL_DIAGONAL = Metric(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
+
+
+def test_classify_without_negative_diagonal_entry():
+    # g(v, v) = 2 v0 v1; the timelike reference is (1, -1)
+    g = NULL_DIAGONAL
+    assert classify((1, Fraction(-1, 2)), g) == (CausalClass.TIMELIKE, TimeOrientation.FUTURE)
+    assert classify((-1, Fraction(1, 2)), g) == (CausalClass.TIMELIKE, TimeOrientation.PAST)
+    assert classify((1, 0), g) == (CausalClass.LIGHTLIKE, TimeOrientation.FUTURE)
+    assert classify((0, 1), g) == (CausalClass.LIGHTLIKE, TimeOrientation.PAST)
+    assert classify((1, 1), g) == (CausalClass.SPACELIKE, TimeOrientation.NONE)
+
+
+def test_gamma_factor_without_negative_diagonal_entry():
+    g = NULL_DIAGONAL
+    u, v = (1, Fraction(-1, 2)), (2, Fraction(-1, 4))
+    assert g.inner(u, u) == g.inner(v, v) == -1
+    assert gamma_factor(u, v, g) == Fraction(5, 4)
+    with pytest.raises(ValueError, match="time orientation"):
+        gamma_factor(u, (-2, Fraction(1, 4)), g)
+
+
+def test_opposite_timelike_vectors_get_opposite_orientations():
+    # g_00 < 0 but g^00 > 0: e_1 is timelike with no time component, so the
+    # orientation must come from g(v, e_0), not from the sign of v_0
+    g = Metric(((Fraction(-1), Fraction(2)), (Fraction(2), Fraction(-1))))
+    assert g.is_lorentzian and g.inner((0, 1), (0, 1)) == -1
+    assert classify((0, 1), g) == (CausalClass.TIMELIKE, TimeOrientation.PAST)
+    assert classify((0, -1), g) == (CausalClass.TIMELIKE, TimeOrientation.FUTURE)
+
+
+# -- the tables against the dense formulas they replace -----------------------
+
+def reference_inner(g, u, v):
+    n = g.dim
+    return sum(g.matrix[i][j] * u[i] * v[j] for i in range(n) for j in range(n))
+
+
+def reference_form_inner(a_terms, b_terms, g):
+    ginv = inverse(g.matrix)
+    total = Fraction(0)
+    for idx_a, ca in a_terms.items():
+        for idx_b, cb in b_terms.items():
+            if len(idx_a) != len(idx_b):
+                raise ValueError("degree mismatch")
+            total += ca * cb * det([[ginv[i][j] for j in idx_b] for i in idx_a])
+    return total
+
+
+def reference_dual_vector(omega_terms, g):
+    ginv, n = inverse(g.matrix), g.dim
+    co = [omega_terms.get((i,), Fraction(0)) for i in range(n)]
+    return [sum(ginv[i][j] * co[j] for j in range(n)) for i in range(n)]
+
+
+def _scaled_terms(out, coeff, factor):
+    for e, c in coeff.terms.items():
+        out[e] = out.get(e, Fraction(0)) + factor * c
+
+
+def reference_flat(V, g):
+    n = V.ambient_dim
+    terms = {}
+    for i in range(n):
+        out = {}
+        for j in range(n):
+            _scaled_terms(out, V.components[j], g.matrix[i][j])
+        terms[(i,)] = Poly(n, out)
+    return PolyForm(n, 1, terms, V.parity)
+
+
+def reference_hodge(w, g):
+    """One minor of g^-1 per (term, index set K), as the Hodge star was
+    first written."""
+    n, p = w.ambient_dim, w.degree
+    ginv, scale = inverse(g.matrix), g.volume_scale()
+    full = tuple(range(n))
+    out = {}
+    for idx, coeff in w.terms.items():
+        for K in combinations(full, p):
+            d = det([[ginv[i][j] for j in K] for i in idx])
+            if d == 0:
+                continue
+            comp = tuple(i for i in full if i not in K)
+            _scaled_terms(out.setdefault(comp, {}), coeff, scale * d * perm_sign(K + comp))
+    return PolyForm(n, n - p, {C: Poly(n, t) for C, t in out.items()}, w.parity.flip())
+
+
+small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+nonzero = small.filter(bool)
+
+
+@st.composite
+def table_metrics(draw, n):
+    """A^T D A for a unit lower-triangular A (the identity half the time,
+    so that g is diagonal) and any signs in D; sqrt|det g| = sqrt|prod D|,
+    rational for most draws of D."""
+    D = [draw(st.sampled_from([-1, 1, 4, Fraction(-9, 4), Fraction(1, 4), 2, -3]))
+         for _ in range(n)]
+    A = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                A[i][j] = draw(small)
+    return Metric(tuple(tuple(sum(A[k][i] * D[k] * A[k][j] for k in range(n))
+                              for j in range(n)) for i in range(n)))
+
+
+@st.composite
+def table_polys(draw, n):
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    return Poly(n, draw(st.dictionaries(exponents, nonzero, min_size=1, max_size=3)))
+
+
+@st.composite
+def table_cases(draw):
+    n = draw(st.integers(2, 5))
+    return n, draw(table_metrics(n))
+
+
+def constant_terms(draw, n, p):
+    sets = list(combinations(range(n), p))
+    return draw(st.dictionaries(st.sampled_from(sets), nonzero, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_cases(), st.data())
+def test_inner_dual_and_form_inner_equal_the_dense_formulas(case, data):
+    n, g = case
+    u = data.draw(st.lists(small, min_size=n, max_size=n))
+    v = data.draw(st.lists(small, min_size=n, max_size=n))
+    got = g.inner(u, v)
+    assert got == reference_inner(g, u, v) and type(got) is Fraction
+
+    omega = constant_terms(data.draw, n, 1)
+    got = metric_dual_vector(omega, g)
+    assert got == reference_dual_vector(omega, g)
+    assert all(type(x) is Fraction for x in got)
+
+    p = data.draw(st.integers(0, n))
+    a, b = constant_terms(data.draw, n, p), constant_terms(data.draw, n, p)
+    got = form_inner(a, b, g)
+    assert got == reference_form_inner(a, b, g) and type(got) is Fraction
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_cases(), st.data())
+def test_hodge_and_flat_equal_the_dense_formulas(case, data):
+    n, g = case
+    p = data.draw(st.integers(0, n))
+    parity = data.draw(st.sampled_from(list(Parity)))
+    sets = list(combinations(range(n), p))
+    terms = data.draw(st.dictionaries(st.sampled_from(sets), table_polys(n), max_size=3))
+    w = PolyForm(n, p, terms, parity)
+    try:
+        expected = reference_hodge(w, g)
+    except ValueError:
+        with pytest.raises(ValueError, match="irrational"):
+            w.hodge(g)
+    else:
+        got = w.hodge(g)
+        assert got == expected and got.parity is parity.flip()
+        assert all(type(c) is Fraction for P in got.terms.values() for c in P.terms.values())
+
+    V = PolyVectorField(n, tuple(data.draw(table_polys(n)) for _ in range(n)), parity)
+    got = V.flat(g)
+    assert got == reference_flat(V, g)
+    assert all(type(c) is Fraction for P in got.terms.values() for c in P.terms.values())
+
+
+def test_equal_metrics_share_one_table():
+    g, h = Metric.minkowski(4), parse_metric("diag(-1,1,1,1)")
+    assert g is not h and g.tables is h.tables
+    assert g.tables.hodge_images(2) is h.tables.hodge_images(2)
+    assert Metric.euclidean(4).tables is not g.tables
+
+
+def test_diagonal_hodge_images_are_signed_products():
+    g = Metric.diag(-1, 4, 1)
+    # *dx1 = sqrt|det g| g^11 sgn(1,0,2) dx0^dx2 = 2 * 1/4 * -1
+    assert g.tables.hodge_images(1)[(1,)] == (((0, 2), Fraction(-1, 2)),)
+    assert g.tables.compound(2)[(0, 1)] == (((0, 1), Fraction(-1, 4)),)
