@@ -69,6 +69,9 @@ def _load_cochain(path: str, cx: SimplicialComplex) -> Cochain:
     """A cochain CSV that gives one value per cell of ``cx`` in its degree."""
     with open(path) as f:
         omega = cochain_from_csv(f.read())
+    if omega.degree > cx.dim:
+        raise MeshFormatError(None, f"cochain degree {omega.degree} exceeds the "
+                                    f"mesh dimension {cx.dim}")
     cells = cx.num_simplices(omega.degree)
     if len(omega.values) != cells:
         raise MeshFormatError(None, f"cochain has {len(omega.values)} values, the "

@@ -59,24 +59,6 @@ class Cochain:
         return all(v == 0 for v in self.values)
 
 
-class Measure:
-    """Strictly positive twisted top-degree cochain; defines volume."""
-
-    def __init__(self, cochain: Cochain):
-        if cochain.parity is not Parity.TWISTED:
-            raise ValueError("a measure must be twisted")
-        if any(v <= 0 for v in cochain.values):
-            raise ValueError("a measure must be strictly positive")
-        self.cochain = cochain
-
-    @property
-    def degree(self) -> int:
-        return self.cochain.degree
-
-    def total(self, complex: SimplicialComplex):
-        return integrate(self.cochain, complex.fundamental_chain(Parity.TWISTED))
-
-
 def coboundary(omega: Cochain, complex: SimplicialComplex) -> Cochain:
     """Transpose-of-boundary action; parity preserved, d(d(w)) = 0."""
     p = omega.degree
@@ -227,15 +209,6 @@ def _level(coords: np.ndarray, complex: SimplicialComplex, k: int,
     return points, vols
 
 
-def measure_from_metric(complex: SimplicialComplex, g: Metric | None = None,
-                        ) -> Measure:
-    """Twisted top-cochain of cell volumes; integrates to total volume,
-    orientable or not."""
-    n = complex.dim
-    _, vols = _level(_metric_coords(complex, g), complex, n)
-    return Measure(Cochain(n, tuple(vols), Parity.TWISTED, "float"))
-
-
 class NotWellCenteredError(ValueError):
     def __init__(self, degree: int, index: int):
         super().__init__(
@@ -318,6 +291,8 @@ def cochain_from_csv(text: str) -> Cochain:
         if "degree" not in meta or "parity" not in meta or mode not in ("exact", "float"):
             raise ValueError("the header needs degree=, parity= and mode exact or float")
         degree, parity = int(meta["degree"]), Parity(meta["parity"])
+        if degree < 0:
+            raise ValueError("degree must not be negative")
         value = float if mode == "float" else Fraction
         rows = {}
         for lineno, line in lines[1:]:

@@ -1,9 +1,9 @@
 """Exact kernel: permutation signs and rational Gaussian elimination.
 
 Every orientation sign in formcalc is a permutation sign, and every
-determinant, rank, inverse metric and cochain primitive comes from one
-forward elimination over Q.  Entries may be ints or Fractions; results
-are Fractions (or ints for signs and ranks), never floats.
+determinant, inverse metric and cochain primitive comes from one forward
+elimination over Q.  Entries may be ints or Fractions; results are
+Fractions (or ints for signs), never floats.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ def det(rows) -> Fraction:
     if len(pivots) < len(rows):
         return Fraction(0)
     return math.prod((row[i] for i, row in enumerate(echelon)), start=Fraction(sign))
-
-
-def rank(rows) -> int:
-    return len(eliminate(rows)[1])
 
 
 def _back_substitute(echelon, pivots, ncols: int, width: int) -> list[list[Fraction]]:

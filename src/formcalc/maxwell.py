@@ -195,12 +195,6 @@ def _curl_component(fields: list, d: int, h: tuple, dual: bool,
     return np.subtract(out, _diff(fields[a], b, h, dual, tmp, rows), out=out)
 
 
-def _curl(fields: list, h: tuple, dual: bool = False) -> list:
-    tmp = np.empty(fields[0].shape)
-    return [_curl_component(fields, d, h, dual, np.empty(fields[0].shape), tmp)
-            for d in range(3)]
-
-
 def _div(fields: list, h: tuple, dual: bool = False, rows: tuple | None = None,
          out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """Divergence over the axis-0 planes ``rows`` (default all), into

@@ -204,11 +204,6 @@ class Metric:
     def det(self) -> Fraction:
         return self.tables.det
 
-    @property
-    def inverse_matrix(self) -> tuple:
-        """g^-1 as a tuple of row tuples, computed on first use."""
-        return self.tables.inverse
-
     def inner(self, u: Sequence, v: Sequence) -> Fraction:
         u = [_as_fraction(x) for x in u]
         v = [_as_fraction(x) for x in v]

@@ -27,7 +27,3 @@ class Parity(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-STRAIGHT = Parity.STRAIGHT
-TWISTED = Parity.TWISTED

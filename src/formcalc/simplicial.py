@@ -1,8 +1,9 @@
 """Simplicial complexes, chains, and the boundary operator.
 
 Orientation convention: the ordered vertex tuple of a simplex defines its
-internal orientation; odd permutations carry sign -1.  Boundary matrices
-have integer entries and compose to zero exactly.
+internal orientation; odd permutations carry sign -1.  A facet's induced
+orientation puts the outward normal first; ``face_signs`` stores that sign.
+Boundary matrices have integer entries and compose to zero exactly.
 
 Malformed mesh text raises ``MeshFormatError``, which is defined in
 ``formcalc.poly`` and imported here.

@@ -20,7 +20,6 @@ from formcalc.cochain import (
     dual_volume_ratios,
     hodge_diagonal,
     integrate,
-    measure_from_metric,
     stokes_pairing_check,
     twist_cochain,
 )
@@ -230,23 +229,6 @@ def test_twist_rejects_mobius_and_incoherent_signs():
         twist_cochain(frac_cochain(cx, 2, [1] * len(signs)), cx, bad)
 
 
-def test_measure_unit_right_triangle():
-    cx = meshes.single_triangle()
-    m = measure_from_metric(cx)
-    assert m.cochain.parity is Parity.TWISTED
-    assert math.isclose(m.total(cx), 0.5)
-
-
-def test_measure_positive_and_refinement_invariant():
-    cx = meshes.mobius_strip()
-    m = measure_from_metric(cx)
-    assert all(v > 0 for v in m.cochain.values)
-    fine = meshes.uniform_refine(cx)
-    # flat cells subdivide exactly
-    assert math.isclose(measure_from_metric(fine).total(fine), m.total(cx),
-                        rel_tol=1e-12)
-
-
 def test_dual_ratio_equilateral_shared_edge():
     s = math.sqrt(3) / 2
     cx = build_complex([(0.0, 0.0), (1.0, 0.0), (0.5, s), (0.5, -s)],
@@ -408,14 +390,6 @@ def test_degenerate_simplex_is_named(points):
     for degree in range(3):
         with pytest.raises(ValueError, match="degenerate simplex 1 of degree 2"):
             dual_volume_ratios(cx, degree)
-    with pytest.raises(ValueError, match="degenerate simplex 1 of degree 2"):
-        measure_from_metric(cx)
-
-
-def test_measure_from_anisotropic_metric():
-    cx = meshes.single_triangle()
-    assert math.isclose(measure_from_metric(cx, Metric.diag(4, 9)).total(cx), 3.0,
-                        rel_tol=1e-12)
 
 
 
@@ -427,8 +401,6 @@ def test_metric_dimension_mismatch_is_named(g):
         dual_volume_ratios(cx, 1, g)
     with pytest.raises(ValueError, match=message):
         hodge_diagonal(Cochain(1, (1.0, 2.0, 3.0), Parity.STRAIGHT, "float"), cx, g)
-    with pytest.raises(ValueError, match=message):
-        measure_from_metric(cx, g)
 
 @pytest.mark.parametrize("A", [((2, 0), (0, 1)), ((1, 1), (0, 1))], ids=["stretch", "shear"])
 def test_dual_ratios_under_metric_match_mapped_mesh(A):

@@ -1,5 +1,5 @@
-"""Exact kernel: determinant, inverse, solve, rank, inertia, negative
-directions, permutation sign.
+"""Exact kernel: determinant, inverse, solve, inertia, negative directions,
+permutation sign.
 
 Properties over small random rational matrices; every value is a Fraction.
 """
@@ -10,7 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formcalc.exact import det, inertia, inverse, negative_vector, perm_sign, rank, solve
+from formcalc.exact import (
+    det,
+    eliminate,
+    inertia,
+    inverse,
+    negative_vector,
+    perm_sign,
+    solve,
+)
 
 dense_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 # zeros are drawn often so that singular and rank-deficient cases come up
@@ -69,6 +77,10 @@ def test_inverse_rejects_singular():
 systems = st.tuples(st.integers(1, 5), st.integers(1, 4)).flatmap(
     lambda shape: st.tuples(matrices(*shape), st.lists(entries, min_size=shape[0],
                                                        max_size=shape[0])))
+
+
+def rank(rows) -> int:
+    return len(eliminate(rows)[1])
 
 
 @settings(max_examples=100, deadline=None)

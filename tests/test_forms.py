@@ -54,6 +54,15 @@ def test_wedge_basis_sign():
     assert dx.wedge(dx).is_zero()
 
 
+def test_parity_multiplication_table():
+    S, T = Parity.STRAIGHT, Parity.TWISTED
+    assert S * S is S
+    assert T * T is S
+    assert S * T is T
+    assert T * S is T
+    assert S.flip() is T and T.flip() is S
+
+
 def test_wedge_parity_multiplies():
     a = PolyForm.basis(3, (0,), Parity.TWISTED)
     b = PolyForm.basis(3, (1,), Parity.TWISTED)
@@ -138,7 +147,7 @@ def test_exact_modules_import_no_numpy():
     fresh interpreter loads neither numpy nor SciPy."""
     code = ("import sys\n"
             "import formcalc, formcalc.exact, formcalc.poly, formcalc.parity\n"
-            "import formcalc.metric, formcalc.orient, formcalc.forms\n"
+            "import formcalc.metric, formcalc.forms\n"
             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
     src = os.path.dirname(os.path.dirname(formcalc.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -14,7 +14,7 @@ from formcalc.grid import RectGrid, box_node_set
 from formcalc.maxwell import (
     EMState,
     PointCharge,
-    _curl,
+    _curl_component,
     _diff,
     _div,
     _slabs,
@@ -150,6 +150,14 @@ def test_emstate_rejects_non_positive_materials(eps, mu, named):
     state.eps, state.mu = eps, mu
     with pytest.raises(ValueError, match=named):
         state.cfl_limit()
+
+
+def _curl(fields, h, dual=False):
+    """The whole-grid curl through ``_curl_component``, the code a leapfrog
+    step runs."""
+    tmp = np.empty(fields[0].shape)
+    return [_curl_component(fields, d, h, dual, np.empty(fields[0].shape), tmp)
+            for d in range(3)]
 
 
 # Reference stencils written with np.roll, one per operator: _curl, div_B

@@ -122,12 +122,6 @@ def test_volume_scale():
             irrational.volume_scale()
 
 
-def test_inverse_matrix_is_cached_tuples():
-    g = Metric.diag(-1, 4, 1, 1)
-    assert g.inverse_matrix == tuple(map(tuple, inverse(g.matrix)))
-    assert g.inverse_matrix is g.inverse_matrix
-
-
 def test_parse_metric():
     g = parse_metric("diag(-1,1,1,1)")
     assert g == Metric.minkowski(4)
