@@ -278,7 +278,8 @@ def cochain_to_csv(omega: Cochain) -> str:
 
 
 def cochain_from_csv(text: str) -> Cochain:
-    """Parse the ``cochain_to_csv`` format; malformed text raises
+    """Parse the ``cochain_to_csv`` format: one row for each index from 0 to
+    the largest, finite values in float mode.  Malformed text raises
     MeshFormatError with the offending line."""
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)
              if ln.strip()]
@@ -303,8 +304,13 @@ def cochain_from_csv(text: str) -> Cochain:
                     raise ValueError("simplex_index must not be negative")
                 if idx in rows:
                     raise ValueError(f"simplex_index {idx} given twice")
-                rows[idx] = value(val_text)
+                v = rows[idx] = value(val_text)
+                if value is float and not math.isfinite(v):
+                    raise ValueError("float values must be finite")
     except (ValueError, ZeroDivisionError) as exc:
         raise MeshFormatError(lineno, f"cannot parse {line!r}: {exc}") from exc
-    vals = [rows.get(i, 0) for i in range(max(rows) + 1 if rows else 0)]
-    return Cochain(degree, tuple(vals), parity, mode)
+    missing = next((i for i in range(len(rows)) if i not in rows), None)
+    if missing is not None:
+        raise MeshFormatError(None, f"simplex_index {missing} is missing; every index "
+                                    f"from 0 to {max(rows)} needs a row")
+    return Cochain(degree, tuple(rows[i] for i in range(len(rows))), parity, mode)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cochain import Cochain, coboundary
 from .exact import solve
 from .parity import Parity
@@ -164,12 +162,8 @@ def is_exact(omega: Cochain, complex: SimplicialComplex) -> dict:
     p = omega.degree
     if p == 0:
         return {"exact": omega.is_zero(), "primitive": None}
-    # the coboundary matrix from degree p-1 to p: row c holds the signs of
-    # the facets of p-simplex c
-    faces = complex.faces[p]
-    D = np.zeros((len(faces), complex.num_simplices(p - 1)), dtype=np.int64)
-    D[np.arange(len(faces))[:, None], faces] = complex.face_signs[p]
-    sol = solve(D.tolist(), [Fraction(v) for v in omega.values])
+    # the coboundary matrix from degree p-1 to p is the transposed boundary
+    sol = solve(complex.boundary_matrix(p).T.tolist(), [Fraction(v) for v in omega.values])
     if sol is None:
         return {"exact": False, "primitive": None}
     prim = Cochain(p - 1, tuple(sol), omega.parity, "exact")

@@ -2,7 +2,8 @@
 
 Every orientation sign in formcalc is a permutation sign, and every
 determinant, inverse metric and cochain primitive comes from one forward
-elimination over Q.  Entries may be ints or Fractions; results are
+elimination over Q; the signature and timelike reference of a metric come
+from one symmetric congruence.  Entries may be ints or Fractions; results are
 Fractions (or ints for signs), never floats.
 """
 
@@ -102,59 +103,42 @@ def inverse(rows) -> list[list[Fraction]]:
     return _back_substitute(echelon, pivots, n, n)
 
 
-def inertia(rows) -> list[int]:
-    """Signs of the eigenvalues of a symmetric matrix (Sylvester's law).
+def diagonalize(rows) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """A congruence of a symmetric matrix A to diagonal form: pivots d_k and
+    vectors b_k with b_k^T A b_l = d_k when k == l and 0 otherwise.
 
-    Each step takes a nonzero diagonal pivot and keeps its Schur
-    complement, a congruence that leaves the remaining block symmetric."""
-    m = [list(row) for row in rows]
-    signs = []
-    while m:
-        k = next((i for i in range(len(m)) if m[i][i] != 0), None)
-        if k is None:
-            off = next(((i, j) for i in range(len(m)) for j in range(i + 1, len(m))
-                        if m[i][j] != 0), None)
-            if off is None:
-                return signs + [0] * len(m)
-            # add column and row j onto i: the diagonal entry becomes 2 m[i][j]
-            k, j = off
-            for row in m:
-                row[k] += row[j]
-            m[k] = [a + b for a, b in zip(m[k], m[j])]
-        pivot = m.pop(k)
-        signs.append(1 if pivot[k] > 0 else -1)
-        inv = Fraction(1) / pivot[k]
-        m = [[a - row[k] * inv * b for a, b in zip(row, pivot)] if row[k] != 0 else row
-             for row in m]
-        m = [row[:k] + row[k + 1:] for row in m]
-    return signs
-
-
-def negative_vector(rows) -> list[Fraction] | None:
-    """A vector v with v^T A v < 0 for a symmetric matrix A, or None when A
-    is positive semidefinite.
-
-    The unit vector of the first negative diagonal entry when there is one;
-    otherwise each step takes a positive diagonal pivot, A-orthogonalizes
-    the other basis vectors against its own and keeps their Gram matrix."""
+    Each step takes the first negative diagonal entry of the remaining Gram
+    matrix, else the first positive one; when the whole diagonal is zero,
+    b_i - sgn(A_ij) b_j (A-norm -2|A_ij|) first replaces b_i.  The other
+    vectors are then A-orthogonalized against the pivot's.  Null directions
+    left at the end get pivot 0.  The signs of the pivots are the signs of
+    the eigenvalues (Sylvester's law), and their product is det A."""
     n = len(rows)
     basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    gram = [list(row) for row in rows]
+    gram = [[Fraction(v) for v in row] for row in rows]
+    pivots, vectors = [], []
     while gram:
-        k = next((i for i, row in enumerate(gram) if row[i] < 0), None)
-        if k is not None:
-            return basis[k]
-        k = next((i for i, row in enumerate(gram) if row[i] > 0), None)
+        diagonal = [row[i] for i, row in enumerate(gram)]
+        k = next((i for i, d in enumerate(diagonal) if d < 0),
+                 next((i for i, d in enumerate(diagonal) if d > 0), None))
         if k is None:
-            # a zero diagonal: b_i - sgn(A_ij) b_j has A-norm -2|A_ij|
-            i, j = next(((i, j) for i in range(len(gram)) for j in range(i + 1, len(gram))
-                         if gram[i][j] != 0), (None, None))
-            if i is None:
-                return None
-            s = 1 if gram[i][j] > 0 else -1
-            return [a - s * b for a, b in zip(basis[i], basis[j])]
-        pivot, inv = gram[k], Fraction(1) / gram[k][k]
+            pair = next(((i, j) for i in range(len(gram)) for j in range(i + 1, len(gram))
+                         if gram[i][j] != 0), None)
+            if pair is None:
+                break
+            k, j = pair
+            s = 1 if gram[k][j] > 0 else -1
+            basis[k] = [a - s * b for a, b in zip(basis[k], basis[j])]
+            gram[k] = [a - s * b for a, b in zip(gram[k], gram[j])]
+            for row in gram:
+                row[k] -= s * row[j]
+        pivot, d, b = gram[k], gram[k][k], basis[k]
+        pivots.append(d)
+        vectors.append(b)
         rest = [i for i in range(len(gram)) if i != k]
-        basis = [[a - pivot[i] * inv * b for a, b in zip(basis[i], basis[k])] for i in rest]
-        gram = [[gram[i][j] - pivot[i] * inv * pivot[j] for j in rest] for i in rest]
-    return None
+        # a row already A-orthogonal to the pivot keeps its vector
+        basis = [[x - pivot[i] / d * y for x, y in zip(basis[i], b)] if pivot[i] else basis[i]
+                 for i in rest]
+        gram = [[gram[i][j] - pivot[i] / d * pivot[j] for j in rest] if pivot[i]
+                else [gram[i][j] for j in rest] for i in rest]
+    return pivots + [Fraction(0)] * len(basis), vectors + basis

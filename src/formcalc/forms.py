@@ -202,10 +202,10 @@ class PolyForm:
         n = self.ambient_dim
         if g.dim != n:
             raise ValueError(f"the form has dimension {n}, the metric {g.dim}")
-        images = g.tables.hodge_images(self.degree)
+        g.volume_scale()  # raises when irrational, for the zero form too
         out: dict = {}
         for idx, coeff in self.terms.items():
-            for comp, factor in images[idx]:
+            for comp, factor in g.tables.hodge_image(idx):
                 _accumulate(out, comp, coeff._scaled(factor))
         return PolyForm._trusted(n, n - self.degree, out, self.parity.flip())
 

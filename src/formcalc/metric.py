@@ -4,25 +4,25 @@ Only flat (constant-coefficient) metrics are supported.  The Lorentzian
 convention is mostly-plus: one minus sign, on the time direction.
 
 Everything the operations read from a metric is in its ``MetricTables``:
-det g, g^-1, the nonzero entries of g and g^-1 row by row, the nonzero
-p x p minors of g^-1 (its p-th compound), the Hodge image of every basis
-p-form, sqrt|det g| and a timelike reference vector.  The tables are keyed
-by the matrix value, so equal metrics share one; each entry is computed on
-first use, and ``metric_tables`` keeps the last TABLE_CACHE_SIZE matrices.
+det g, g^-1, the nonzero entries of g and g^-1 row by row, sqrt|det g|,
+the signature and a timelike reference vector (both from one symmetric
+congruence), and, for each index set I asked for, the nonzero minors
+det(g^-1[I, K]) and the Hodge image of dx^I.  The tables are keyed by the
+matrix value, so equal metrics share one; each entry is computed on first
+use, and ``metric_tables`` keeps the last TABLE_CACHE_SIZE matrices.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .exact import det, inertia, inverse, negative_vector, perm_sign
+from .exact import det, diagonalize, inverse, perm_sign
 from .poly import _as_fraction
 
 TABLE_CACHE_SIZE = 128
@@ -46,14 +46,14 @@ def _nonzero_rows(matrix) -> tuple:
 
 class MetricTables:
     """What the metric operations read, for one matrix value; each entry is
-    computed on first use.  Every metric equal to that value shares these,
-    so each entry is immutable: tuples, or read-only mappings."""
+    computed on first use, and the per-index-set entries are kept in plain
+    dicts of tuples.  Every metric equal to that value shares these."""
 
     def __init__(self, matrix: tuple):
         self.matrix = matrix
         self.dim = len(matrix)
-        self._compound: dict[int, Mapping] = {}
-        self._hodge: dict[int, Mapping] = {}
+        self._minors: dict[tuple, tuple] = {}
+        self._hodge: dict[tuple, tuple] = {}
 
     @cached_property
     def det(self) -> Fraction:
@@ -80,49 +80,48 @@ class MetricTables:
         return _fraction_sqrt(abs(self.det))
 
     @cached_property
-    def time_reference(self) -> tuple | None:
-        """A timelike vector T: e_t for the first g_tt < 0, else one found by
-        symmetric elimination; None when g has no timelike vector."""
-        v = negative_vector(self.matrix)
-        return None if v is None else tuple(v)
+    def _diagonal(self) -> tuple:
+        return diagonalize(self.matrix)
 
-    def compound(self, p: int) -> Mapping:
-        """The p-th compound of g^-1: each index set I maps to the nonzero
-        minors det(g^-1[I, K]) as ((K, minor), ...).  A diagonal g^-1 has
-        only K = I, a product with no elimination."""
-        table = self._compound.get(p)
+    @cached_property
+    def signature(self) -> tuple:
+        """The signs of the eigenvalues of g, ascending; 0 for a null direction."""
+        return tuple(sorted((d > 0) - (d < 0) for d in self._diagonal[0]))
+
+    @cached_property
+    def time_reference(self) -> tuple | None:
+        """A timelike vector T: e_t for the first g_tt < 0, else the vector of
+        the first negative pivot of ``diagonalize``; None when g has none."""
+        return next((tuple(b) for d, b in zip(*self._diagonal) if d < 0), None)
+
+    def minors(self, I: tuple) -> tuple:
+        """The nonzero minors det(g^-1[I, K]) as ((K, minor), ...), K over the
+        p-subsets of the columns where some row of I is nonzero; a diagonal
+        g^-1 gives K = I alone."""
+        table = self._minors.get(I)
         if table is None:
             ginv = self.inverse
-            sets = list(combinations(range(self.dim), p))
-            if all(j == i for i, row in enumerate(self.inverse_rows) for j, _ in row):
-                table = {I: ((I, math.prod((ginv[i][i] for i in I), start=Fraction(1))),)
-                         for I in sets}
-            else:
-                table = {}
-                for I in sets:
-                    minors = ((K, det([[ginv[i][j] for j in K] for i in I])) for K in sets)
-                    table[I] = tuple((K, m) for K, m in minors if m)
-            table = self._compound[p] = MappingProxyType(table)
+            cols = sorted({j for i in I for j, _ in self.inverse_rows[i]})
+            minors = ((K, det([[ginv[i][j] for j in K] for i in I]))
+                      for K in combinations(cols, len(I)))
+            table = self._minors[I] = tuple((K, m) for K, m in minors if m)
         return table
 
-    def hodge_images(self, p: int) -> Mapping:
-        """The Hodge star of every basis p-form: I maps to ((C, factor), ...)
-        with *dx^I = sum factor dx^C, one term per nonzero minor (I, K), C the
-        complement of K and factor = sqrt|det g| * minor * sgn(K + C)."""
-        table = self._hodge.get(p)
+    def hodge_image(self, I: tuple) -> tuple:
+        """The Hodge star of dx^I as ((C, factor), ...) with *dx^I = sum
+        factor dx^C, one term per nonzero minor (I, K), C the complement of
+        K and factor = sqrt|det g| * minor * sgn(K + C)."""
+        table = self._hodge.get(I)
         if table is None:
             scale = self.volume_scale
             if scale is None:
                 raise ValueError(_IRRATIONAL_SCALE)
             full = range(self.dim)
-            table = {}
-            for I, minors in self.compound(p).items():
-                images = []
-                for K, m in minors:
-                    C = tuple(i for i in full if i not in K)
-                    images.append((C, scale * m * perm_sign(K + C)))
-                table[I] = tuple(images)
-            table = self._hodge[p] = MappingProxyType(table)
+            images = []
+            for K, m in self.minors(I):
+                C = tuple(i for i in full if i not in K)
+                images.append((C, scale * m * perm_sign(K + C)))
+            table = self._hodge[I] = tuple(images)
         return table
 
 
@@ -149,7 +148,6 @@ class Metric:
     """Symmetric nonsingular constant metric on n-space."""
 
     matrix: tuple  # tuple of row tuples of Fraction
-    signature: tuple = field(init=False)
 
     def __post_init__(self):
         rows = tuple(tuple(_as_fraction(v) for v in row) for row in self.matrix)
@@ -161,10 +159,8 @@ class Metric:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("metric matrix must be symmetric")
         object.__setattr__(self, "matrix", rows)
-        sig = inertia(rows)
-        if any(s == 0 for s in sig):
+        if 0 in self.signature:
             raise ValueError("metric matrix is singular")
-        object.__setattr__(self, "signature", tuple(sig))
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -189,12 +185,17 @@ class Metric:
         return len(self.matrix)
 
     @property
+    def signature(self) -> tuple:
+        """The signs of the eigenvalues, ascending: negatives first."""
+        return self.tables.signature
+
+    @property
     def is_riemannian(self) -> bool:
         return all(s > 0 for s in self.signature)
 
     @property
     def is_lorentzian(self) -> bool:
-        return sorted(self.signature)[0] < 0 and sum(1 for s in self.signature if s < 0) == 1
+        return self.signature.count(-1) == 1
 
     @cached_property
     def tables(self) -> MetricTables:
@@ -283,11 +284,11 @@ def form_inner(a_terms: dict, b_terms: dict, g: Metric) -> Fraction:
     degrees = {len(idx) for idx in a_terms} | {len(idx) for idx in b_terms}
     if len(degrees) > 1:
         raise ValueError("degree mismatch")
-    minors = g.tables.compound(degrees.pop())
-    if not (a_terms.keys() <= minors.keys() and b_terms.keys() <= minors.keys()):
-        raise ValueError(f"index sets must be strictly increasing in 0..{g.dim - 1}")
+    for idx in (*a_terms, *b_terms):
+        if not all(0 <= i < j for i, j in zip(idx, idx[1:] + (g.dim,))):
+            raise ValueError(f"index sets must be strictly increasing in 0..{g.dim - 1}")
     for idx_a, ca in a_terms.items():
-        for K, m in minors[idx_a]:
+        for K, m in g.tables.minors(idx_a):
             cb = b_terms.get(K)
             if cb is not None:
                 total += ca * cb * m

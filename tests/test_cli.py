@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import io
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -117,6 +119,19 @@ def test_hodge_under_a_non_diagonal_metric(tmp_path, capsys):
         "n=3 p=2 parity=twisted; [0,1]: 1; [0,2]: x1; [1,2]: 2*x1\n")
 
 
+def test_hodge_of_one_term_in_24_dimensions_is_quick(monkeypatch, capsys):
+    # the tables are built for the index sets of the form, not for all
+    # C(24, 12) = 2704156 of its degree
+    evens = ",".join(str(i) for i in range(0, 24, 2))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"n=24 p=12; [{evens}]: 3*x0\n"))
+    metric = "diag(-1" + ",1" * 23 + ")"
+    start = time.perf_counter()
+    assert main(["hodge", "-", "--metric", metric]) == 0
+    assert time.perf_counter() - start < 2.0
+    odds = ",".join(str(i) for i in range(1, 24, 2))
+    assert capsys.readouterr().out == f"n=24 p=12 parity=twisted; [{odds}]: -3*x0\n"
+
+
 def test_demo_pass_and_unknown(capsys):
     assert main(["demo", "ffwedge-4d"]) == 0
     assert "PASS ffwedge-4d" in capsys.readouterr().out
@@ -178,6 +193,11 @@ def test_maxwell_evolve_writes_diagnostics(outdir, capsys):
     assert len(text.strip().splitlines()) == 9
 
 
+def float_csv(degree: int, parity: str, values) -> str:
+    rows = "".join(f"{i},{v}\n" for i, v in enumerate(values))
+    return f"# degree={degree} parity={parity} mode=float\nsimplex_index,value\n" + rows
+
+
 @pytest.mark.parametrize("command, text", [
     ("integrate mobius", "simplex_index,value\n0,1\n"),
     ("integrate mobius", "# parity=straight mode=exact\nsimplex_index,value\n"),
@@ -194,16 +214,27 @@ def test_maxwell_evolve_writes_diagnostics(outdir, capsys):
     ("stokes-check annulus", "# degree=-1 parity=straight mode=exact\nsimplex_index,value\n"),
     ("integrate annulus", "# degree=5 parity=straight mode=exact\n"),
     ("stokes-check annulus", "# degree=5 parity=straight mode=exact\n"),
+    ("integrate mobius", "# degree=2 parity=twisted mode=exact\nsimplex_index,value\n3000000,1\n"),
+    ("integrate mobius", "# degree=2 parity=twisted mode=exact\n0,1\n1,1\n2,1\n4,1\n"),
+    ("integrate mobius", float_csv(2, "twisted", [1, 1, "nan", 1, 1])),
+    ("integrate mobius", float_csv(2, "twisted", [1, 1, 1, 1, "inf"])),
+    ("integrate mobius", float_csv(2, "twisted", ["-inf", 1, 1, 1, 1])),
+    ("stokes-check annulus", float_csv(1, "straight", [0.5] * 15 + ["nan"])),
 ], ids=["cochain-no-header", "cochain-no-degree", "cochain-unknown-parity",
         "cochain-not-rational", "form-bad-header", "cochain-negative-index",
         "cochain-short-integrate", "cochain-short-stokes", "form-negative-variable",
         "form-repeated-index-set", "cochain-repeated-index",
         "cochain-negative-degree-integrate", "cochain-negative-degree-stokes",
-        "cochain-degree-above-mesh-integrate", "cochain-degree-above-mesh-stokes"])
+        "cochain-degree-above-mesh-integrate", "cochain-degree-above-mesh-stokes",
+        "cochain-huge-index", "cochain-index-gap", "cochain-nan-integrate",
+        "cochain-inf-integrate", "cochain-minus-inf-integrate", "cochain-nan-stokes"])
 def test_malformed_input_is_parse_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.txt"
     path.write_text(text)
+    start = time.perf_counter()
     assert main(command.split() + [str(path)]) == 3
+    # refused before any work proportional to a simplex_index
+    assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("parse error:")
 

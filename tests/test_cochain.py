@@ -432,8 +432,21 @@ def test_cochain_csv_rejects_repeated_simplex_index():
         cochain_from_csv(text)
 
 
+def test_cochain_csv_names_the_first_missing_index():
+    text = "# degree=0 parity=straight mode=exact\nsimplex_index,value\n4,1\n0,2\n2,3\n"
+    with pytest.raises(MeshFormatError, match="simplex_index 1 is missing.*0 to 4"):
+        cochain_from_csv(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cochain_csv_rejects_non_finite_floats(value):
+    text = f"# degree=0 parity=straight mode=float\nsimplex_index,value\n0,1.5\n1,{value}\n"
+    with pytest.raises(MeshFormatError, match="line 4.*finite"):
+        cochain_from_csv(text)
+
+
 exact_values = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
-float_values = st.floats(allow_nan=False)
+float_values = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,10 @@
-"""Exact kernel: determinant, inverse, solve, inertia, negative directions,
+"""Exact kernel: determinant, inverse, solve, symmetric diagonalization,
 permutation sign.
 
 Properties over small random rational matrices; every value is a Fraction.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,9 @@ from hypothesis import strategies as st
 
 from formcalc.exact import (
     det,
+    diagonalize,
     eliminate,
-    inertia,
     inverse,
-    negative_vector,
     perm_sign,
     solve,
 )
@@ -95,37 +95,56 @@ def test_solve_exactly_when_ranks_agree(system):
         assert [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in A] == b
 
 
+def symmetric(M):
+    return [[M[i][j] + M[j][i] for j in range(len(M))] for i in range(len(M))]
+
+
+def signs(pivots):
+    return sorted((d > 0) - (d < 0) for d in pivots)
+
+
 @settings(max_examples=60, deadline=None)
 @given(square)
-def test_inertia_preserved_under_congruence(pair):
+def test_diagonalize_signs_preserved_under_congruence(pair):
     M, P = pair
     assume(det(P) != 0)
-    S = [[M[i][j] + M[j][i] for j in range(len(M))] for i in range(len(M))]
+    S = symmetric(M)
     PT = [list(col) for col in zip(*P)]
     congruent = matmul(matmul(P, S), PT)
-    assert sorted(inertia(congruent)) == sorted(inertia(S))
+    assert signs(diagonalize(congruent)[0]) == signs(diagonalize(S)[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(square)
-def test_negative_vector_exists_exactly_when_inertia_has_a_minus(pair):
+def test_diagonalize_is_a_congruence_with_pivot_product_det(pair):
     M, _ = pair
-    S = [[M[i][j] + M[j][i] for j in range(len(M))] for i in range(len(M))]
-    v = negative_vector(S)
-    assert (v is not None) == (-1 in inertia(S))
-    if v is not None:
-        assert all_fractions(v)
-        assert sum((v[i] * S[i][j] * v[j] for i in range(len(S)) for j in range(len(S))),
-                   Fraction(0)) < 0
-        negative = [i for i in range(len(S)) if S[i][i] < 0]
-        if negative:  # the first negative diagonal entry's unit vector
-            assert v == identity(len(S))[negative[0]]
+    S = symmetric(M)
+    pivots, basis = diagonalize(S)
+    assert all_fractions(pivots) and all(all_fractions(b) for b in basis)
+    # B^T S B is the diagonal of the pivots
+    assert matmul(matmul(basis, S), [list(col) for col in zip(*basis)]) == [
+        [d if i == j else 0 for j in range(len(S))] for i, d in enumerate(pivots)]
+    assert math.prod(pivots, start=Fraction(1)) == det(S)
 
 
-def test_inertia_of_zero_diagonal():
-    # no diagonal pivot: the off-diagonal congruence step must find one
+@settings(max_examples=60, deadline=None)
+@given(square)
+def test_first_negative_pivot_is_the_first_negative_diagonal_entry(pair):
+    M, _ = pair
+    S = symmetric(M)
+    negative = [i for i in range(len(S)) if S[i][i] < 0]
+    assume(negative)
+    pivots, basis = diagonalize(S)
+    k = next(k for k, d in enumerate(pivots) if d < 0)
+    assert basis[k] == identity(len(S))[negative[0]]
+
+
+def test_diagonalize_zero_diagonal():
+    # no diagonal pivot: b_0 - b_1 has S-norm -2 and comes first
     M = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    assert sorted(inertia(M)) == [-1, 1]
+    pivots, basis = diagonalize(M)
+    assert pivots == [-2, Fraction(1, 2)]
+    assert basis[0] == [1, -1]
 
 
 def inversions(seq):

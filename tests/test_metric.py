@@ -303,15 +303,21 @@ def test_hodge_and_flat_equal_the_dense_formulas(case, data):
     assert all(type(c) is Fraction for P in got.terms.values() for c in P.terms.values())
 
 
+@pytest.mark.parametrize("idx", [(1, 0), (0, 0), (0, 3), (-1, 2)])
+def test_form_inner_refuses_bad_index_sets(idx):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        form_inner({(0, 1): Fraction(1)}, {idx: Fraction(1)}, Metric.euclidean(3))
+
+
 def test_equal_metrics_share_one_table():
     g, h = Metric.minkowski(4), parse_metric("diag(-1,1,1,1)")
     assert g is not h and g.tables is h.tables
-    assert g.tables.hodge_images(2) is h.tables.hodge_images(2)
+    assert g.tables.hodge_image((0, 2)) is h.tables.hodge_image((0, 2))
     assert Metric.euclidean(4).tables is not g.tables
 
 
 def test_diagonal_hodge_images_are_signed_products():
     g = Metric.diag(-1, 4, 1)
     # *dx1 = sqrt|det g| g^11 sgn(1,0,2) dx0^dx2 = 2 * 1/4 * -1
-    assert g.tables.hodge_images(1)[(1,)] == (((0, 2), Fraction(-1, 2)),)
-    assert g.tables.compound(2)[(0, 1)] == (((0, 1), Fraction(-1, 4)),)
+    assert g.tables.hodge_image((1,)) == (((0, 2), Fraction(-1, 2)),)
+    assert g.tables.minors((0, 1)) == (((0, 1), Fraction(-1, 4)),)
