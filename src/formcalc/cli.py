@@ -316,9 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lorentz", help="Lorentz force covector/vector from a "
                                        "field 2-form")
     p.add_argument("field_file", help="2-form text file, or - for stdin")
-    p.add_argument("--charge", type=_rational, default="1")
+    p.add_argument("--charge", type=_rational, default="1",
+                   help="rational charge; a negative one needs the = spelling, "
+                        "e.g. --charge=-3/2")
     p.add_argument("--velocity", type=_rationals, required=True,
-                   help="comma-separated rational components, e.g. 5/4,3/4,0,0")
+                   help="comma-separated rational components, e.g. 5/4,3/4,0,0; "
+                        "a value starting with - needs the = spelling, "
+                        "e.g. --velocity=-5/4,3/4,0,0")
     p.add_argument("--metric", type=_metric, default="diag(-1,1,1,1)")
     p.set_defaults(func=cmd_lorentz)
 

@@ -1,10 +1,10 @@
-"""Exact kernel: permutation signs and rational Gaussian elimination.
+"""Exact kernel: permutation signs, rational elimination, one congruence.
 
-Every orientation sign in formcalc is a permutation sign, and every
-determinant, inverse metric and cochain primitive comes from one forward
-elimination over Q; the signature and timelike reference of a metric come
-from one symmetric congruence.  Entries may be ints or Fractions; results are
-Fractions (or ints for signs), never floats.
+Every orientation sign in formcalc is a permutation sign.  Forward
+elimination over Q serves determinants (of minors) and ``solve`` (cochain
+primitives); one symmetric congruence (``diagonalize``) gives everything a
+metric is: signature, timelike reference, det g and g^-1.  Entries may be
+ints or Fractions; results are Fractions (or ints for signs), never floats.
 """
 
 from __future__ import annotations
@@ -70,37 +70,18 @@ def det(rows) -> Fraction:
     return math.prod((row[i] for i, row in enumerate(echelon)), start=Fraction(sign))
 
 
-def _back_substitute(echelon, pivots, ncols: int, width: int) -> list[list[Fraction]]:
-    """X with A X = B from the echelon form of [A | B] (A has ``ncols``
-    columns, B has ``width``, every pivot lies in A); free unknowns are 0."""
-    X: list[list] = [[Fraction(0)] * width for _ in range(ncols)]
-    for row, c in zip(reversed(echelon), reversed(pivots)):
-        acc = row[ncols:]
-        for j in range(c + 1, ncols):
-            if row[j] != 0:
-                acc = [a - row[j] * x for a, x in zip(acc, X[j])]
-        inv = Fraction(1) / row[c]
-        X[c] = [a * inv for a in acc]
-    return X
-
-
 def solve(A, b) -> list[Fraction] | None:
-    """One solution of A x = b over Q, or None if the system is inconsistent."""
+    """One solution of A x = b over Q, free unknowns 0, or None if the
+    system is inconsistent."""
     ncols = len(A[0]) if A else 0
     echelon, pivots, _ = eliminate([list(row) + [v] for row, v in zip(A, b)])
     if pivots and pivots[-1] == ncols:
         return None
-    return [x[0] for x in _back_substitute(echelon, pivots, ncols, 1)]
-
-
-def inverse(rows) -> list[list[Fraction]]:
-    """Inverse of a square matrix; raises ValueError when it is singular."""
-    n = len(rows)
-    echelon, pivots, _ = eliminate(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return _back_substitute(echelon, pivots, n, n)
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reversed(echelon), reversed(pivots)):
+        known = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j])
+        x[c] = (row[ncols] - known) / Fraction(row[c])
+    return x
 
 
 def diagonalize(rows) -> tuple[list[Fraction], list[list[Fraction]]]:

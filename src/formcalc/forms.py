@@ -238,12 +238,6 @@ class PolyForm:
     def is_closed(self) -> bool:
         return self.d().is_zero()
 
-    def is_integrable(self) -> bool:
-        """Frobenius test for 1-forms: w wedge dw = 0 identically."""
-        if self.degree != 1:
-            raise ValueError("integrability test is for 1-forms")
-        return self.wedge(self.d()).is_zero()
-
     # -- formatting -------------------------------------------------------
     def __str__(self) -> str:
         body = "; ".join(

@@ -91,10 +91,10 @@ class EMState:
     grid: RectGrid
     E: list  # [Ex, Ey, Ez], arrays of shape grid.shape
     B: list  # [Bx, By, Bz]
+    rho: np.ndarray
     eps: float = 1.0
     mu: float = 1.0
     time: float = 0.0
-    rho: np.ndarray | None = None
     diagnostics: dict = field(default_factory=lambda: {
         "time": [], "energy": [], "max_divB": [], "gauss_residual": []})
 
@@ -106,7 +106,7 @@ class EMState:
         _check_materials(eps, mu)
         E = [np.zeros(grid.shape) for _ in range(3)]
         B = [np.zeros(grid.shape) for _ in range(3)]
-        return EMState(grid, E, B, eps, mu, rho=np.zeros(grid.shape))
+        return EMState(grid, E, B, np.zeros(grid.shape), eps, mu)
 
     def cfl_limit(self) -> float:
         _check_materials(self.eps, self.mu)
@@ -262,7 +262,7 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
                 w *= dt
                 b[s] -= w
         J, drho = sources(step) if sources is not None else (None, None)
-        if drho and state.rho is not None:
+        if drho:
             for cell, increment in drho.items():
                 state.rho[cell] += increment
         for rows, s, w, t in sweep:
@@ -280,13 +280,11 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
         div_b = gauss = 0.0
         for rows, s, w, t in sweep:
             div_b = _abs_max(state.div_B(rows, w, t), div_b)
-            if state.rho is not None:
-                residual = state.div_D(rows, w, t)
-                residual -= np.divide(state.rho[s], cellvol, out=t)
-                gauss = _abs_max(residual, gauss)
+            residual = state.div_D(rows, w, t)
+            residual -= np.divide(state.rho[s], cellvol, out=t)
+            gauss = _abs_max(residual, gauss)
         state.diagnostics["max_divB"].append(div_b * hmin / scale)
-        if state.rho is not None:
-            state.diagnostics["gauss_residual"].append(gauss)
+        state.diagnostics["gauss_residual"].append(gauss)
     return state
 
 

@@ -4,12 +4,12 @@ Only flat (constant-coefficient) metrics are supported.  The Lorentzian
 convention is mostly-plus: one minus sign, on the time direction.
 
 Everything the operations read from a metric is in its ``MetricTables``:
-det g, g^-1, the nonzero entries of g and g^-1 row by row, sqrt|det g|,
-the signature and a timelike reference vector (both from one symmetric
-congruence), and, for each index set I asked for, the nonzero minors
-det(g^-1[I, K]) and the Hodge image of dx^I.  The tables are keyed by the
-matrix value, so equal metrics share one; each entry is computed on first
-use, and ``metric_tables`` keeps the last TABLE_CACHE_SIZE matrices.
+the signature, a timelike reference vector, det g and g^-1 (all four from
+one symmetric congruence), the nonzero entries of g and g^-1 row by row,
+sqrt|det g|, and, per index set I asked for, the nonzero minors
+det(g^-1[I, K]) (each by elimination) and the Hodge image of dx^I.  Equal
+matrix values share one table; each entry is computed on first use, and
+``metric_tables`` keeps the last TABLE_CACHE_SIZE matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .exact import det, diagonalize, inverse, perm_sign
+from .exact import det, diagonalize, perm_sign
 from .poly import _as_fraction
 
 TABLE_CACHE_SIZE = 128
@@ -57,12 +57,15 @@ class MetricTables:
 
     @cached_property
     def det(self) -> Fraction:
-        return det(self.matrix)
+        """det g, the product of the congruence's pivots d_k."""
+        return math.prod(self._diagonal[0], start=Fraction(1))
 
     @cached_property
     def inverse(self) -> tuple:
-        """g^-1 as a tuple of row tuples."""
-        return tuple(map(tuple, inverse(self.matrix)))
+        """g^-1 = sum_k b_k b_k^T / d_k over the congruence, as row tuples."""
+        terms = list(zip(*self._diagonal))
+        return tuple(tuple(sum((b[i] * b[j] / d for d, b in terms if b[i] and b[j]), Fraction(0))
+                           for j in range(self.dim)) for i in range(self.dim))
 
     @cached_property
     def rows(self) -> tuple:

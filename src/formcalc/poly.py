@@ -73,12 +73,6 @@ class Poly:
     def zero(nvars: int) -> "Poly":
         return Poly(nvars, {})
 
-    @staticmethod
-    def variable(nvars: int, i: int) -> "Poly":
-        exps = [0] * nvars
-        exps[i] = 1
-        return Poly(nvars, {tuple(exps): 1})
-
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -153,14 +147,6 @@ class Poly:
         return Poly._trusted(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Poly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):

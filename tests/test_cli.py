@@ -98,6 +98,22 @@ def test_lorentz_subcommand(tmp_path, capsys):
     assert "g(force, velocity): 0" in out
 
 
+def test_lorentz_takes_negative_values_in_the_equals_spelling(tmp_path, capsys):
+    # argparse reads "-5/4,..." after a space as an option; "=" keeps it a value
+    path = tmp_path / "f.txt"
+    path.write_text("n=4 p=2; [0,1]: 2; [2,3]: 3\n")
+    assert main(["lorentz", str(path), "--charge=-3/2",
+                 "--velocity=-5/4,3/4,0,0"]) == 0
+    assert capsys.readouterr().out == (
+        "force covector: n=4 p=1 parity=straight; [0]: 9/4; [1]: 15/4\n"
+        "force vector: (-9/4, 15/4, 0, 0)\n"
+        "g(force, velocity): 0\n")
+    with pytest.raises(SystemExit) as info:
+        main(["lorentz", str(path), "--velocity", "-5/4,3/4,0,0"])
+    assert info.value.code == 2
+    assert "--velocity: expected one argument" in capsys.readouterr().err
+
+
 def test_lorentz_under_a_metric_without_negative_diagonal_entry(tmp_path, capsys):
     # g(v, v) = 2 v0 v1 = -1: a unit timelike velocity, though no g_tt < 0
     path = tmp_path / "f.txt"

@@ -212,16 +212,17 @@ def test_flat_sharp_round_trip():
 
 
 def test_integrability():
-    # x dy is not integrable as a foliation normal? d(x dy) = dx^dy,
-    # w ^ dw: 1-form wedge 2-form in 2-space overflows to zero -> integrable.
+    """Frobenius: a 1-form w is integrable when w ^ dw = 0."""
+    # x dy in 2-space: w ^ dw is a 3-form in 2-space, so it vanishes
     w2 = PolyForm.basis(2, (1,)).scale(parse_poly("x0", 2))
-    assert w2.is_integrable()
+    assert w2.wedge(w2.d()).is_zero()
     # classic non-integrable contact form dz + x dy in 3-space
     contact = PolyForm.basis(3, (2,)) + PolyForm.basis(3, (1,)).scale(
         parse_poly("x0", 3))
-    assert not contact.is_integrable()
+    assert not contact.wedge(contact.d()).is_zero()
     # closed forms are always integrable
-    assert parse_form_dx().is_integrable()
+    dx = parse_form_dx()
+    assert dx.wedge(dx.d()).is_zero()
 
 
 def parse_form_dx():

@@ -6,10 +6,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formcalc.exact import det, inverse, perm_sign
+from formcalc.exact import det, perm_sign, solve
 from formcalc.forms import PolyForm, PolyVectorField
 from formcalc.metric import (
     CausalClass,
@@ -166,13 +166,21 @@ def test_opposite_timelike_vectors_get_opposite_orientations():
 
 # -- the tables against the dense formulas they replace -----------------------
 
+def reference_inverse(matrix):
+    """g^-1 column by column from ``exact.solve``, independent of the
+    congruence the tables read it from."""
+    n = len(matrix)
+    columns = [solve(matrix, [int(i == j) for i in range(n)]) for j in range(n)]
+    return [list(row) for row in zip(*columns)]
+
+
 def reference_inner(g, u, v):
     n = g.dim
     return sum(g.matrix[i][j] * u[i] * v[j] for i in range(n) for j in range(n))
 
 
 def reference_form_inner(a_terms, b_terms, g):
-    ginv = inverse(g.matrix)
+    ginv = reference_inverse(g.matrix)
     total = Fraction(0)
     for idx_a, ca in a_terms.items():
         for idx_b, cb in b_terms.items():
@@ -183,7 +191,7 @@ def reference_form_inner(a_terms, b_terms, g):
 
 
 def reference_dual_vector(omega_terms, g):
-    ginv, n = inverse(g.matrix), g.dim
+    ginv, n = reference_inverse(g.matrix), g.dim
     co = [omega_terms.get((i,), Fraction(0)) for i in range(n)]
     return [sum(ginv[i][j] * co[j] for j in range(n)) for i in range(n)]
 
@@ -208,7 +216,7 @@ def reference_hodge(w, g):
     """One minor of g^-1 per (term, index set K), as the Hodge star was
     first written."""
     n, p = w.ambient_dim, w.degree
-    ginv, scale = inverse(g.matrix), g.volume_scale()
+    ginv, scale = reference_inverse(g.matrix), g.volume_scale()
     full = tuple(range(n))
     out = {}
     for idx, coeff in w.terms.items():
@@ -301,6 +309,33 @@ def test_hodge_and_flat_equal_the_dense_formulas(case, data):
     got = V.flat(g)
     assert got == reference_flat(V, g)
     assert all(type(c) is Fraction for P in got.terms.values() for c in P.terms.values())
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Any symmetric rational matrix, n = 1-5; zeros are drawn often, so
+    zero diagonals and singular matrices come up."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)), small)
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+
+
+def matmul(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*B)]
+            for row in A]
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_congruence_gives_a_two_sided_inverse_and_det(A):
+    assume(det(A) != 0)
+    tables = Metric(A).tables
+    n = len(A)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert matmul(A, tables.inverse) == identity and matmul(tables.inverse, A) == identity
+    assert all(type(v) is Fraction for row in tables.inverse for v in row)
+    assert tables.det == det(A) and type(tables.det) is Fraction
 
 
 @pytest.mark.parametrize("idx", [(1, 0), (0, 0), (0, 3), (-1, 2)])
