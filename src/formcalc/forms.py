@@ -14,7 +14,13 @@ from typing import Mapping, Sequence
 from .exact import perm_sign
 from .metric import Metric, metric_dual_vector
 from .parity import Parity
-from .poly import MeshFormatError, Poly, _accumulate, _as_fraction, parse_poly
+from .poly import MeshFormatError, Poly, _as_fraction, parse_poly, substitute
+
+
+def _accumulate(out: dict, key, value) -> None:
+    """``out[key] += value``, without a zero to start a missing key from."""
+    old = out.get(key)
+    out[key] = value if old is None else old + value
 
 
 def _coerce_poly(nvars: int, value) -> Poly:
@@ -49,7 +55,7 @@ class PolyForm:
             if list(idx) != sorted(set(idx)) or (idx and not (0 <= idx[0] and idx[-1] < n)):
                 raise ValueError(f"index set {idx} must be strictly increasing in range")
             _accumulate(clean, idx, _coerce_poly(n, coeff))
-        object.__setattr__(self, "terms", {i: c for i, c in clean.items() if c.terms})
+        object.__setattr__(self, "terms", {i: c for i, c in clean.items() if not c.is_zero()})
 
     @classmethod
     def _trusted(cls, n: int, p: int, terms: dict, parity: Parity) -> "PolyForm":
@@ -59,7 +65,7 @@ class PolyForm:
         # in field order, so that every instance keeps the same compact attribute layout
         object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "degree", p)
-        object.__setattr__(self, "terms", {i: c for i, c in terms.items() if c.terms})
+        object.__setattr__(self, "terms", {i: c for i, c in terms.items() if not c.is_zero()})
         object.__setattr__(self, "parity", parity)
         return self
 
@@ -184,12 +190,15 @@ class PolyForm:
             raise ValueError("map components disagree on domain arity")
         if self.degree > m:
             return PolyForm.zero(m, m, self.parity)
-        # phi* dx_i as a 1-form on the domain
-        dphi = [PolyForm._trusted(m, 1, {(j,): phi[i].diff(j) for j in range(m)},
-                                  Parity.STRAIGHT) for i in range(n)]
+        # phi* dx_i as a 1-form on the domain, for the i the index sets use
+        dphi = {i: PolyForm._trusted(m, 1, {(j,): phi[i].diff(j) for j in range(m)},
+                                     Parity.STRAIGHT)
+                for i in {i for idx in self.terms for i in idx}}
+        # one substitution for every coefficient, so the powers of phi are shared
+        coeffs = substitute(list(self.terms.values()), phi)
         result = PolyForm.zero(m, self.degree, self.parity)
-        for idx, coeff in self.terms.items():
-            term = PolyForm._trusted(m, 0, {(): coeff.subs(list(phi))}, self.parity)
+        for idx, coeff in zip(self.terms, coeffs):
+            term = PolyForm._trusted(m, 0, {(): coeff}, self.parity)
             for i in idx:
                 term = term.wedge(dphi[i])
             result = result + term

@@ -9,7 +9,8 @@ one symmetric congruence), the nonzero entries of g and g^-1 row by row,
 sqrt|det g|, and, per index set I asked for, the nonzero minors
 det(g^-1[I, K]) (each by elimination) and the Hodge image of dx^I.  Equal
 matrix values share one table; each entry is computed on first use, and
-``metric_tables`` keeps the last TABLE_CACHE_SIZE matrices.
+``metric_tables`` keeps the last TABLE_CACHE_SIZE matrices, keyed on their
+entries as integer (numerator, denominator) pairs.
 """
 
 from __future__ import annotations
@@ -129,9 +130,11 @@ class MetricTables:
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def metric_tables(matrix: tuple) -> MetricTables:
-    """The one ``MetricTables`` of a matrix value (row tuples of Fraction)."""
-    return MetricTables(matrix)
+def metric_tables(key: tuple) -> MetricTables:
+    """The one ``MetricTables`` of a matrix value, given as row tuples of
+    (numerator, denominator) int pairs in lowest terms: ints hash far
+    faster than Fractions."""
+    return MetricTables(tuple(tuple(Fraction(n, d) for n, d in row) for row in key))
 
 
 class CausalClass(enum.Enum):
@@ -157,11 +160,12 @@ class Metric:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("metric matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("metric matrix must be symmetric")
+        # the matrix value as int pairs: the key of its shared tables
+        key = tuple(tuple((v.numerator, v.denominator) for v in row) for row in rows)
+        if tuple(zip(*key)) != key:
+            raise ValueError("metric matrix must be symmetric")
         object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "_key", key)
         if 0 in self.signature:
             raise ValueError("metric matrix is singular")
 
@@ -203,7 +207,7 @@ class Metric:
     @cached_property
     def tables(self) -> MetricTables:
         """The tables of this matrix value, shared with every equal metric."""
-        return metric_tables(self.matrix)
+        return metric_tables(self._key)
 
     def det(self) -> Fraction:
         return self.tables.det

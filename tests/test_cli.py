@@ -225,6 +225,7 @@ def float_csv(degree: int, parity: str, values) -> str:
     ("stokes-check disk", "# degree=1 parity=twisted mode=exact\n0,1\n"),
     ("hodge", "n=3 p=1; [0]: x-1\n"),
     ("hodge", "n=2 p=1; [0]: 1; [0]: 2\n"),
+    ("hodge", "n=3 p=1; [0]: x0^100000000000\n"),
     ("integrate mobius", "# degree=2 parity=twisted mode=exact\n0,1\n1,1\n2,1\n3,1\n4,1\n4,2\n"),
     ("integrate annulus", "# degree=-1 parity=straight mode=exact\nsimplex_index,value\n"),
     ("stokes-check annulus", "# degree=-1 parity=straight mode=exact\nsimplex_index,value\n"),
@@ -239,7 +240,7 @@ def float_csv(degree: int, parity: str, values) -> str:
 ], ids=["cochain-no-header", "cochain-no-degree", "cochain-unknown-parity",
         "cochain-not-rational", "form-bad-header", "cochain-negative-index",
         "cochain-short-integrate", "cochain-short-stokes", "form-negative-variable",
-        "form-repeated-index-set", "cochain-repeated-index",
+        "form-repeated-index-set", "form-huge-exponent", "cochain-repeated-index",
         "cochain-negative-degree-integrate", "cochain-negative-degree-stokes",
         "cochain-degree-above-mesh-integrate", "cochain-degree-above-mesh-stokes",
         "cochain-huge-index", "cochain-index-gap", "cochain-nan-integrate",

@@ -21,7 +21,7 @@ from formcalc.forms import (
 )
 from formcalc.metric import Metric
 from formcalc.parity import Parity
-from formcalc.poly import Poly, parse_poly
+from formcalc.poly import MAX_EXPONENT, Poly, parse_poly
 from formcalc.simplicial import MeshFormatError
 
 
@@ -358,27 +358,178 @@ def test_trusted_results_are_canonical(data):
     assert a.wedge(c) == c.wedge(a).scale((-1) ** (a.degree * c.degree))
 
 
-def reference_product(P, Q):
+# -- the packed integer kernel, against the tuple/Fraction arithmetic --------
+#
+# The references compute on plain dicts {exponent tuple: nonzero Fraction}:
+# the direct tuple/Fraction arithmetic that the packed monomials and the
+# integer numerators over one denominator must reproduce exactly.
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def ref_mul(a, b):
     """Every pair of terms multiplied, as ``Poly.__mul__`` was first written."""
     out = {}
-    for e1, c1 in P.terms.items():
-        for e2, c2 in Q.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
             out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return Poly(P.nvars, out)
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_diff(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def ref_subs(a, phi, m):
+    """Each term a constant multiplied by its replacements one factor at a time."""
+    total = {}
+    for exps, c in a.items():
+        term = {(0,) * m: c}
+        for r, k in zip(phi, exps):
+            for _ in range(k):
+                term = ref_mul(term, r)
+        total = ref_add(total, term)
+    return total
+
+
+def ref_eval(a, point):
+    total = Fraction(0)
+    for exps, c in a.items():
+        for x, k in zip(point, exps):
+            c *= x**k
+        total += c
+    return total
+
+
+def ref_str(a):
+    parts = []
+    for exps in sorted(a, key=lambda e: (sum(e), e)):
+        c = a[exps]
+        factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e]
+        if not factors:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(("-" if c < 0 else "") + "*".join(factors))
+        else:
+            parts.append(str(c) + "*" + "*".join(factors))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def reference_product(P, Q):
+    return Poly(P.nvars, ref_mul(P.terms, Q.terms))
 
 
 def reference_subs(P, phi):
-    """Each term a constant multiplied by its replacements one factor at a time."""
     m = phi[0].nvars
-    total = Poly.zero(m)
-    for exps, c in P.terms.items():
-        term = Poly.constant(m, c)
-        for r, e in zip(phi, exps):
-            for _ in range(e):
-                term = reference_product(term, r)
-        total = total + term
-    return total
+    return Poly(m, ref_subs(P.terms, [r.terms for r in phi], m))
+
+
+wide_fractions = st.fractions(-30, 30, max_denominator=12)
+
+
+@st.composite
+def term_dicts(draw, n, max_exponent=3, max_size=4):
+    exponents = st.tuples(*[st.integers(0, max_exponent)] * n)
+    return draw(st.dictionaries(exponents, wide_fractions.filter(bool), max_size=max_size))
+
+
+def assert_matches(P, terms):
+    """``P`` shows exactly ``terms``, prints as the reference prints them,
+    and equals and hashes like every other polynomial of that value."""
+    assert dict(P.terms) == terms
+    assert all(type(c) is Fraction for c in P.terms.values())
+    assert str(P) == ref_str(terms)
+    Q = Poly(P.nvars, terms)
+    assert P == Q and hash(P) == hash(Q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_kernel_equals_the_tuple_fraction_reference(data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    a, b = data.draw(term_dicts(n)), data.draw(term_dicts(n))
+    r = data.draw(wide_fractions)
+    P, Q = Poly(n, a), Poly(n, b)
+    assert_matches(P, a)
+    assert_matches(P + Q, ref_add(a, b))
+    assert_matches(P - Q, ref_add(a, ref_neg(b)))
+    assert_matches(-P, ref_neg(a))
+    assert_matches(P * Q, ref_mul(a, b))
+    assert_matches(P * r, ref_mul(a, {(0,) * n: r} if r else {}))
+    for i in range(n):
+        assert_matches(P.diff(i), ref_diff(a, i))
+    phi = [data.draw(term_dicts(m, 2, 3)) for _ in range(n)]
+    assert_matches(P.subs([Poly(m, t) for t in phi]), ref_subs(a, phi, m))
+    point = data.draw(st.lists(wide_fractions, min_size=n, max_size=n))
+    got = P.eval(point)
+    assert got == ref_eval(a, point) and type(got) is Fraction
+    # one value built along two paths: equal, with equal hashes
+    halves = [Poly(n, {e: c / 2 for e, c in a.items()})] * 2
+    assert sum(halves, Poly.zero(n)) == P and hash(sum(halves, Poly.zero(n))) == hash(P)
+    assert (P * Q == Q * P) and hash(P * Q) == hash(Q * P)
+
+
+def test_terms_view_is_read_only():
+    P = parse_poly("1/2*x0 + 3", 2)
+    with pytest.raises(TypeError):
+        P.terms[(0, 0)] = Fraction(1)
+    assert P.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(3)}
+
+
+def test_exponents_past_the_field_are_refused():
+    assert Poly(2, {(MAX_EXPONENT, 0): 1}).terms == {(MAX_EXPONENT, 0): 1}
+    with pytest.raises(ValueError, match=f"outside 0..{MAX_EXPONENT}"):
+        Poly(2, {(0, MAX_EXPONENT + 1): 1})
+    for text in (f"x0^{MAX_EXPONENT + 1}", "x1^100000000000", "x0^20000*x0^20000"):
+        with pytest.raises(ValueError, match=f"outside 0..{MAX_EXPONENT}"):
+            parse_poly(text, 2)
+
+
+def test_products_and_powers_past_the_field_raise():
+    """A field never wraps into its neighbour: the result is refused."""
+    fits = Poly(2, {(16383, 0): 1}) * Poly(2, {(16384, 0): 1})
+    assert fits.terms == {(MAX_EXPONENT, 0): 1}
+    for P in (Poly(2, {(0, 20000): 1}), Poly(2, {(20000, 1): 1, (0, 0): 3})):
+        with pytest.raises(ValueError, match=f"exceed {MAX_EXPONENT}"):
+            P * P
+    square = Poly(1, {(2,): 1})
+    with pytest.raises(ValueError, match=f"exceed {MAX_EXPONENT}"):
+        square.subs([Poly(1, {(20000,): 1})])
+
+
+def test_pullback_builds_each_power_of_phi_once(monkeypatch):
+    """A second term with the same power of x0 costs only its own wedge
+    product: the powers of phi are built once per pullback."""
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    phi = [parse_poly("1 + x0", 1), parse_poly("2*x0", 1)]
+    one = form_from_text("n=2 p=1; [0]: x0^3")
+    two = form_from_text("n=2 p=1; [0]: x0^3; [1]: 5*x0^3")
+
+    def muls(w):
+        calls.clear()
+        w.pullback(phi)
+        return len(calls)
+
+    assert muls(two) == muls(one) + 1
+    cube = parse_poly("1 + 3*x0 + 3*x0^2 + x0^3", 1)
+    assert two.pullback(phi) == form_from_text(f"n=1 p=1; [0]: {cube * 11}")
 
 
 @settings(max_examples=80, deadline=None)

@@ -347,6 +347,11 @@ def test_form_inner_refuses_bad_index_sets(idx):
 def test_equal_metrics_share_one_table():
     g, h = Metric.minkowski(4), parse_metric("diag(-1,1,1,1)")
     assert g is not h and g.tables is h.tables
+    # one value however its entries are spelled
+    same = [Metric(((Fraction(2, 4), 1), (1, 3))), parse_metric("1/2 1; 1 3"),
+            Metric(((Fraction(1, 2), Fraction(3, 3)), (True, 3)))]
+    assert all(k.tables is same[0].tables for k in same)
+    assert same[0].tables.matrix == ((Fraction(1, 2), 1), (1, 3))
     assert g.tables.hodge_image((0, 2)) is h.tables.hodge_image((0, 2))
     assert Metric.euclidean(4).tables is not g.tables
 
