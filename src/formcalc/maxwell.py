@@ -9,7 +9,10 @@ the wave speed to 1 for convergence studies.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -226,6 +229,25 @@ def _slabs(shape: tuple) -> list:
     return [(i0, min(i0 + rows, shape[0])) for i0 in range(0, shape[0], rows)]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _sweep(pool, fn, parts: list) -> list:
+    """``fn`` over every part, the first on the calling thread and the
+    others on ``pool`` (None for a single part); results in part order.
+    Each part on the pool runs in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds in every worker."""
+    futures = [pool.submit(contextvars.copy_context().run, fn, part)
+               for part in parts[1:]]
+    return [fn(parts[0]), *(f.result() for f in futures)]
+
+
 def evolve_leapfrog(state: EMState, steps: int, dt: float,
                     sources=None) -> EMState:
     """Advance the staggered update; enforces the CFL bound.
@@ -237,10 +259,18 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
     deposition); cells left out carry no current or charge change.
 
     Each step sweeps the grid in slabs of axis-0 planes (``_slabs``): B
-    slab by slab, then E once B is complete, then the current, then the
-    divergence diagnostics slab by slab.  Fields are updated in place and
-    every intermediate goes through two slab-sized scratch buffers, so a
-    step allocates no array."""
+    slab by slab, taking max |B| from each slab as it is updated, then E
+    once B is complete, then the current, then the energy over the whole
+    grid, then the divergence diagnostics slab by slab.  Each sweep runs
+    on one worker per usable CPU, capped at the number of slabs: the
+    calling thread and a pool of threads, each worker with a contiguous
+    run of slabs and its own two slab-sized scratch buffers.  A sweep
+    writes only its own slabs' planes of one field and reads the other
+    field, so every element goes through the same operations whatever the
+    worker count.  ``sources`` and the current and charge updates run on
+    the calling thread, between the sweeps; with a single worker no pool
+    is made.  Fields are updated in place and every intermediate goes
+    through the scratch buffers, so a step allocates no array."""
     limit = state.cfl_limit()
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got steps={steps}")
@@ -250,41 +280,66 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
     h = state.grid.spacing
     hmin, cellvol = min(h), float(np.prod(h))
     slabs = _slabs(state.grid.shape)
+    workers = min(_usable_cpus(), len(slabs))
     size = (slabs[0][1], *state.grid.shape[1:])
-    work, tmp = np.empty(size), np.empty(size)
-    # per slab: its row range, the same as a slice, and its scratch views
-    sweep = [(rows, slice(*rows), work[:rows[1] - rows[0]], tmp[:rows[1] - rows[0]])
-             for rows in slabs]
-    for step in range(steps):
-        for rows, s, w, t in sweep:
+    # per worker, per slab: its row range, the same as a slice, and views
+    # of the worker's scratch
+    parts = []
+    for k in range(workers):
+        work, tmp = np.empty(size), np.empty(size)
+        own = slabs[k * len(slabs) // workers:(k + 1) * len(slabs) // workers]
+        parts.append([(rows, slice(*rows), work[:rows[1] - rows[0]],
+                       tmp[:rows[1] - rows[0]]) for rows in own])
+
+    def update_b(part) -> float:
+        top = 0.0
+        for rows, s, w, t in part:
             for d, b in enumerate(state.B):
                 _curl_component(state.E, d, h, False, w, t, rows)
                 w *= dt
                 b[s] -= w
-        J, drho = sources(step) if sources is not None else (None, None)
-        if drho:
-            for cell, increment in drho.items():
-                state.rho[cell] += increment
-        for rows, s, w, t in sweep:
+                top = _abs_max(b[s], top)
+        return top
+
+    def update_e(part) -> None:
+        for rows, s, w, t in part:
             for d, e in enumerate(state.E):
                 _curl_component(state.B, d, h, True, w, t, rows)
                 w *= dt / (state.eps * state.mu)
                 e[s] += w
-        if J:
-            for (d, i, j, k), density in J.items():
-                state.E[d][i, j, k] -= (dt / state.eps) * density
-        state.time += dt
-        state.diagnostics["time"].append(state.time)
-        state.diagnostics["energy"].append(state.energy())
-        scale = max(max(_abs_max(b) for b in state.B), 1e-300)
+
+    def divergences(part) -> tuple:
         div_b = gauss = 0.0
-        for rows, s, w, t in sweep:
+        for rows, s, w, t in part:
             div_b = _abs_max(state.div_B(rows, w, t), div_b)
             residual = state.div_D(rows, w, t)
             residual -= np.divide(state.rho[s], cellvol, out=t)
             gauss = _abs_max(residual, gauss)
-        state.diagnostics["max_divB"].append(div_b * hmin / scale)
-        state.diagnostics["gauss_residual"].append(gauss)
+        return div_b, gauss
+
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: import on use
+        context = ThreadPoolExecutor(workers - 1)
+    else:
+        context = contextlib.nullcontext()
+    with context as pool:
+        for step in range(steps):
+            # np.max, unlike Python's max, keeps a NaN from any worker
+            scale = max(float(np.max(_sweep(pool, update_b, parts))), 1e-300)
+            J, drho = sources(step) if sources is not None else (None, None)
+            if drho:
+                for cell, increment in drho.items():
+                    state.rho[cell] += increment
+            _sweep(pool, update_e, parts)
+            if J:
+                for (d, i, j, k), density in J.items():
+                    state.E[d][i, j, k] -= (dt / state.eps) * density
+            state.time += dt
+            state.diagnostics["time"].append(state.time)
+            state.diagnostics["energy"].append(state.energy())
+            div_b, gauss = map(float, np.max(_sweep(pool, divergences, parts), axis=0))
+            state.diagnostics["max_divB"].append(div_b * hmin / scale)
+            state.diagnostics["gauss_residual"].append(gauss)
     return state
 
 

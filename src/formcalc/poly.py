@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
 from numbers import Rational
-from operator import or_
+from operator import index, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -115,7 +115,7 @@ class Poly:
     __slots__ = ("nvars", "_den", "_nums", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
-        self.nvars = nvars = int(nvars)
+        self.nvars = nvars = index(nvars)
         shifts = range(0, FIELD_BITS * nvars, FIELD_BITS)
         den, nums = 1, {}
         for exps, c in (terms or {}).items():
@@ -123,7 +123,7 @@ class Poly:
                 raise ValueError(f"bad exponent tuple {tuple(exps)} for {nvars} variables")
             key = 0
             for shift, e in zip(shifts, exps):
-                e = int(e)
+                e = index(e)
                 if not 0 <= e <= MAX_EXPONENT:
                     raise ValueError(f"exponent {e} in {tuple(exps)} is outside 0..{MAX_EXPONENT}")
                 key |= e << shift

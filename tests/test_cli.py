@@ -379,9 +379,11 @@ def test_cli_and_solvers_never_import_scipy(tmp_path):
     """The runtime needs numpy and the standard library only: in a fresh
     interpreter, the CLI, a statics solve, Betti numbers and an exactness
     test load no SciPy module (importing SciPy would double the start-up
-    of every run)."""
+    of every run).  Nor do they load ``concurrent.futures``, whose import
+    of ``logging`` costs about 10 ms: ``evolve_leapfrog`` imports its
+    thread pool when it makes one."""
     code = ("import sys\n"
-            "from formcalc import cli, meshes\n"
+            "from formcalc import cli, maxwell, meshes\n"
             "from formcalc.cochain import Cochain, coboundary\n"
             "from formcalc.cohomology import betti_numbers, is_exact\n"
             "assert cli.main(['maxwell-static-e', '--cells', '8', '--radii', '1,3']) == 0\n"
@@ -389,7 +391,8 @@ def test_cli_and_solvers_never_import_scipy(tmp_path):
             "assert betti_numbers(cx).betti == (1, 1, 0)\n"
             "f = Cochain(0, tuple(range(cx.num_simplices(0))))\n"
             "assert is_exact(coboundary(f, cx), cx)['exact']\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'\n"
+            "             or m in ('concurrent.futures', 'logging')))\n")
     src = os.path.dirname(os.path.dirname(formcalc.__file__))
     env = dict(os.environ, PYTHONPATH=src, FORMCALC_OUTDIR=str(tmp_path))
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,

@@ -279,6 +279,17 @@ def test_checked_constructors_reject_bad_input(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Poly(1, {(1.5,): 1}),
+    lambda: Poly(1, {("2",): 1}),
+    lambda: Poly(2.5),
+], ids=["float-exponent", "string-exponent", "float-nvars"])
+def test_poly_refuses_non_integer_exponents_and_nvars(build):
+    # int() used to truncate these silently: (1.5,) read as x0, ("2",) as x0^2
+    with pytest.raises(TypeError):
+        build()
+
+
 # -- the trusted internal results, against the checked constructors ---------
 
 fractions = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))

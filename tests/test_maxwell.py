@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from formcalc import maxwell
 from formcalc.forms import PolyForm
 from formcalc.grid import RectGrid, box_node_set
 from formcalc.maxwell import (
@@ -367,10 +369,27 @@ def test_leapfrog_step_matches_full_array_reference_bitwise():
                                rtol=1e-13, atol=0)
 
 
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads every 10 us, so workers interleave between numpy calls."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
-def test_multi_slab_step_matches_full_array_reference_bitwise(layout):
+def test_multi_slab_step_matches_full_array_reference_bitwise(layout, workers, monkeypatch,
+                                                              short_switch_interval):
     # three slabs of 16, 16 and 3 planes: the step and the diagnostics
-    # cross two slab seams and the periodic seam between slabs 3 and 1
+    # cross two slab seams and the periodic seam between slabs 3 and 1;
+    # with 2 workers one sweeps slab 1 and the other slabs 2 and 3, with
+    # 3 workers each sweeps one slab, more workers than this machine may
+    # have CPUs
+    monkeypatch.setattr(maxwell, "_usable_cpus", lambda: workers)
     shape, steps, turn = (35, 64, 64), 8, 4
     assert [i1 - i0 for i0, i1 in _slabs(shape)] == [16, 16, 3]
     state, ref = anisotropic_state(layout, shape), anisotropic_state(layout, shape)
@@ -418,10 +437,30 @@ def test_multi_slab_step_matches_full_array_reference_bitwise(layout):
         assert same_bits(state.div_D((i0, i1), w, t), div_d[i0:i1])
 
 
-def traced_peak_of_leapfrog(steps):
-    """Peak bytes tracemalloc sees while ``steps`` steps of a 32^3 grid
-    with a moving charge run."""
-    grid = RectGrid((32, 32, 32), (1.0 / 32,) * 3)
+@pytest.mark.parametrize("field", ["B", "E"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_nan_and_inf_reach_the_diagnostics_from_every_worker(field, value, monkeypatch):
+    # the last slab belongs to the second of 2 workers, whose maxima
+    # Python's max(finite, nan) would drop
+    shape = (35, 64, 64)
+    diagnostics = []
+    for workers in (1, 2):
+        monkeypatch.setattr(maxwell, "_usable_cpus", lambda: workers)
+        state = anisotropic_state(shape=shape)
+        getattr(state, field)[1][33, 20, 30] = value
+        with np.errstate(invalid="ignore"):
+            evolve_leapfrog(state, 1, 0.9 * state.cfl_limit())
+        diagnostics.append(np.array([state.diagnostics["max_divB"],
+                                     state.diagnostics["gauss_residual"]]))
+    one, two = diagnostics
+    assert not np.isfinite(one).all()
+    assert same_bits(two, one)
+
+
+def traced_peak_of_leapfrog(steps, shape):
+    """Peak bytes tracemalloc sees while ``steps`` steps of a grid of
+    ``shape`` cells on the unit cube with a moving charge run."""
+    grid = RectGrid(shape, tuple(1.0 / n for n in shape))
     state = EMState.zeros(grid)
     state.E[2][:] = np.random.default_rng(2).standard_normal(grid.shape)
     charge = PointCharge(1.0, (0.49, 0.51, 0.5), (0.3, -0.3, 0.2))
@@ -435,16 +474,23 @@ def traced_peak_of_leapfrog(steps):
         tracemalloc.stop()
 
 
-def test_leapfrog_step_and_diagnostics_allocate_no_array():
-    # the two scratch buffers are the only arrays; the slack, a quarter of
-    # one 32^3 array, covers the diagnostics lists, the charge's small
-    # vectors and the buffers numpy's iterator takes for the strided
-    # wrap plane along axis 1 (about 26 KB here)
-    (i0, i1), = _slabs((32, 32, 32))
-    buffers, slack = 2 * (i1 - i0) * 32 * 32 * 8, 64 * 1024
-    short, long = traced_peak_of_leapfrog(2), traced_peak_of_leapfrog(20)
-    assert long - short <= slack
-    assert long <= buffers + slack
+def test_leapfrog_step_and_diagnostics_allocate_no_array(monkeypatch):
+    # each worker's two scratch buffers are the only arrays; the slack, a
+    # quarter of one 32^3 array per worker, covers the diagnostics lists,
+    # the charge's small vectors and the buffers numpy's iterator takes for
+    # the strided wrap plane along axis 1 (about 26 KB per worker, and the
+    # workers can hold theirs at the same moment); 32^3 is one slab, and
+    # (32, 64, 64) two slabs of 16 planes, one per worker
+    for shape, workers in [((32, 32, 32), 1), ((32, 64, 64), 2)]:
+        monkeypatch.setattr(maxwell, "_usable_cpus", lambda: workers)
+        assert len(_slabs(shape)) == workers
+        (i0, i1), *_ = _slabs(shape)
+        buffers = workers * 2 * (i1 - i0) * math.prod(shape[1:]) * 8
+        slack = workers * 64 * 1024
+        traced_peak_of_leapfrog(1, shape)  # the thread pool's import stays out of the peaks
+        short, long = traced_peak_of_leapfrog(2, shape), traced_peak_of_leapfrog(20, shape)
+        assert long - short <= slack
+        assert long <= buffers + slack
 
 
 def transposed_view(a):
