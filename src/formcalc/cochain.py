@@ -61,12 +61,21 @@ class Cochain:
 
 def coboundary(omega: Cochain, complex: SimplicialComplex) -> Cochain:
     """Transpose-of-boundary action; parity preserved, d(d(w)) = 0."""
+    _check_fits(omega, complex)
     p = omega.degree
-    if p >= complex.dim:
+    if p == complex.dim:
         raise ValueError("coboundary of a top-degree cochain")
     values = _value_array(omega)
     out = (complex.face_signs[p + 1] * values[complex.faces[p + 1]]).sum(axis=1)
     return Cochain(p + 1, tuple(out), omega.parity, omega.mode)
+
+
+def _check_fits(omega: Cochain, complex: SimplicialComplex) -> None:
+    """Raise ValueError unless omega holds one value per simplex of its degree."""
+    p = omega.degree
+    if not 0 <= p <= complex.dim or len(omega.values) != complex.num_simplices(p):
+        raise ValueError(f"{len(omega.values)} values do not make a {p}-cochain on a "
+                         f"{complex.dim}-complex with {complex.num_simplices(p)} {p}-simplices")
 
 
 def _value_array(omega: Cochain) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Hole detection: Betti numbers, torsion, closed-vs-exact cochains.
 
-All ranks come from exact integer Smith normal form of the coboundary
-rows, read straight from the incidence arrays (arbitrary-precision ints,
-no floats): a sparse +-1-pivot reduction, then integer SNF on the
-remaining block.  Primitives come from
-exact rational elimination.
+One sparse elimination of the coboundary rows, read straight from the
+incidence arrays, serves both: +-1 pivots first, then integer Smith normal
+form of the block left gives ranks and torsion, and rational elimination
+of it, the right-hand side carried along, gives primitives.  No floats.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochain import Cochain, coboundary
-from .exact import solve
+from .cochain import Cochain, _check_fits, coboundary
 from .parity import Parity
 from .simplicial import SimplicialComplex
 
@@ -61,30 +59,26 @@ def _dense_snf(m: list[list[int]]) -> list[int]:
         m = [row[1:] for row in m[1:]]
 
 
-def smith_normal_form(rows: list[dict[int, int]]) -> list[int]:
-    """Invariant factors (diagonal of the SNF) of an integer matrix given as
-    sparse rows (``rows[i][j]`` is entry (i, j); absent entries are 0),
-    each dividing the next.  The rows are not changed.
-
-    Stage 1 eliminates +-1 pivots on the sparse rows: walking the rows in
-    order, a row that still holds a unit entry pivots on the one whose
-    column has the fewest nonzeros, row operations clear that column, and
-    the pivot row and column are dropped.  Column operations would then
-    clear the pivot row without touching any other entry, so each pivot is
-    one invariant factor 1.  Stage 2 runs the dense reduction on the block
-    of rows and columns that still hold entries."""
-    rows = [{j: v for j, v in row.items() if v} for row in rows]
+def _unit_pivots(rows: list[dict], rhs: list | None = None) -> list[tuple]:
+    """Eliminate +-1 pivots on the sparse rows, and the same row operations
+    on ``rhs``, in place.  Walking the rows in order, a row that still holds
+    a unit entry pivots on the one whose column has the fewest nonzeros, row
+    operations clear that column, and the pivot row is emptied.  Returns the
+    pivots (column, unit, rest of the row, rhs) in order; the rhs leaves
+    with its pivot, so the emptied row reads 0 = 0."""
     column: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             column.setdefault(j, set()).add(i)
-    units = 0
+    rhs = [0] * len(rows) if rhs is None else rhs
+    pivots = []
     for r, pivot_row in enumerate(rows):
         candidates = [j for j, v in pivot_row.items() if v == 1 or v == -1]
         if not candidates:
             continue
         c = min(candidates, key=lambda j: len(column[j]))
         unit = pivot_row.pop(c)
+        b, rhs[r] = rhs[r], 0
         for i in column.pop(c):
             if i == r:
                 continue
@@ -99,13 +93,37 @@ def smith_normal_form(rows: list[dict[int, int]]) -> list[int]:
                 else:
                     del row[j]
                     column[j].discard(i)
+            if b:
+                rhs[i] -= q * b
         for j in pivot_row:
             column[j].discard(r)
         rows[r] = {}
-        units += 1
+        pivots.append((c, unit, pivot_row, b))
+    return pivots
+
+
+def smith_normal_form(rows: list[dict[int, int]]) -> list[int]:
+    """Invariant factors (diagonal of the SNF) of an integer matrix given as
+    sparse rows (``rows[i][j]`` is entry (i, j); absent entries are 0),
+    each dividing the next.  The rows are not changed.
+
+    Stage 1 eliminates the +-1 pivots (``_unit_pivots``).  Column
+    operations would then clear each pivot row without touching any other
+    entry, so each pivot is one invariant factor 1.  Stage 2 runs the
+    dense reduction on the block of rows and columns that still hold
+    entries."""
+    rows = [{j: v for j, v in row.items() if v} for row in rows]
+    units = len(_unit_pivots(rows))
     rest = [row for row in rows if row]
     live = sorted({j for row in rest for j in row})
     return [1] * units + _dense_snf([[row.get(j, 0) for j in live] for row in rest])
+
+
+def _coboundary_rows(complex: SimplicialComplex, k: int) -> list[dict[int, int]]:
+    """The coboundary matrix from degree k - 1 to k as sparse rows: row c
+    lists the signed facets of k-simplex c."""
+    return [dict(zip(f, s)) for f, s in zip(complex.faces[k].tolist(),
+                                            complex.face_signs[k].tolist())]
 
 
 @dataclass(frozen=True)
@@ -128,46 +146,50 @@ class CohomologyReport:
 def betti_numbers(complex: SimplicialComplex) -> CohomologyReport:
     """Betti numbers and torsion of the complex via Smith normal form."""
     n = complex.dim
-    ranks = [0] * (n + 2)  # rank of boundary_k for k = 1..n
-    torsions: list[tuple] = [()] * (n + 1)
-    factor_lists: dict[int, list[int]] = {}
-    for k in range(1, n + 1):
-        # the coboundary d_k^T has the invariant factors of the boundary
-        # d_k; its row c lists the signed facets of k-simplex c
-        factors = smith_normal_form(
-            [dict(zip(f, s)) for f, s in zip(complex.faces[k].tolist(),
-                                             complex.face_signs[k].tolist())])
-        ranks[k] = len(factors)
-        factor_lists[k] = factors
-    betti = []
-    for k in range(n + 1):
-        betti.append(complex.num_simplices(k) - ranks[k] - ranks[k + 1])
-    for k in range(n):
-        torsions[k] = tuple(f for f in factor_lists.get(k + 1, []) if f > 1)
+    # the invariant factors of d_k, read from its transpose; d_0 = d_(n+1) = 0
+    factors = [[]] + [smith_normal_form(_coboundary_rows(complex, k))
+                      for k in range(1, n + 1)] + [[]]
+    betti = tuple(complex.num_simplices(k) - len(factors[k]) - len(factors[k + 1])
+                  for k in range(n + 1))
+    torsions = tuple(tuple(f for f in factors[k + 1] if f > 1) for k in range(n + 1))
     chi = complex.euler_characteristic()
     assert sum((-1) ** k * b for k, b in enumerate(betti)) == chi
-    return CohomologyReport(tuple(betti), tuple(torsions), complex.orientable(), chi)
+    return CohomologyReport(betti, torsions, complex.orientable(), chi)
 
 
 def is_closed(omega: Cochain, complex: SimplicialComplex) -> bool:
     if omega.degree == complex.dim:
+        _check_fits(omega, complex)
         return True
     return coboundary(omega, complex).is_zero()
 
 
 def is_exact(omega: Cochain, complex: SimplicialComplex) -> dict:
-    """Solve d(eta) = omega by exact rational elimination.
-
-    Returns {'exact': bool, 'primitive': Cochain or None}."""
+    """Solve d(eta) = omega over Q on the sparse coboundary rows: the unit
+    pivots first, then (every nonzero being a unit over Q) the rows left,
+    each scaled to hold a 1, until no row is left.  A leftover 0 = b != 0
+    means not exact; otherwise back-substitution through the pivots gives
+    eta, free unknowns 0.  Returns {'exact': bool, 'primitive': Cochain or None}."""
+    _check_fits(omega, complex)
     p = omega.degree
     if p == 0:
         return {"exact": omega.is_zero(), "primitive": None}
-    # the coboundary matrix from degree p-1 to p is the transposed boundary
-    sol = solve(complex.boundary_matrix(p).T.tolist(), [Fraction(v) for v in omega.values])
-    if sol is None:
+    rows = _coboundary_rows(complex, p)
+    rhs = [Fraction(v) for v in omega.values]
+    pivots = _unit_pivots(rows, rhs)
+    while any(rows):
+        for i, row in enumerate(rows):
+            if row:
+                s = next(iter(row.values()))
+                rows[i] = {j: Fraction(v, s) for j, v in row.items()}
+                rhs[i] /= s
+        pivots += _unit_pivots(rows, rhs)
+    if any(rhs):
         return {"exact": False, "primitive": None}
-    prim = Cochain(p - 1, tuple(sol), omega.parity, "exact")
-    return {"exact": True, "primitive": prim}
+    eta = [Fraction(0)] * complex.num_simplices(p - 1)
+    for c, unit, rest, b in reversed(pivots):
+        eta[c] = unit * (b - sum(v * eta[j] for j, v in rest.items()))
+    return {"exact": True, "primitive": Cochain(p - 1, tuple(eta), omega.parity, "exact")}
 
 
 def winding_cochain(complex: SimplicialComplex) -> Cochain:

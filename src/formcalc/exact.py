@@ -1,15 +1,15 @@
-"""Exact kernel: permutation signs, rational elimination, one congruence.
+"""Exact kernel: permutation signs, determinants, one congruence.
 
 Every orientation sign in formcalc is a permutation sign.  Forward
-elimination over Q serves determinants (of minors) and ``solve`` (cochain
-primitives); one symmetric congruence (``diagonalize``) gives everything a
-metric is: signature, timelike reference, det g and g^-1.  Entries may be
-ints or Fractions; results are Fractions (or ints for signs), never floats.
+elimination over Q gives determinants (of minors); one symmetric
+congruence (``diagonalize``) gives everything a metric is: signature,
+timelike reference, det g and g^-1.  Cochain primitives come from the
+sparse elimination in ``cohomology``.  Entries may be ints or Fractions;
+results are Fractions (or ints for signs), never floats.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -25,63 +25,32 @@ def perm_sign(seq) -> int:
     return sign
 
 
-def eliminate(rows) -> tuple[list[list], list[int], int]:
-    """Forward elimination to row echelon form.
+def det(rows) -> Fraction:
+    """Determinant of a square matrix by forward elimination over Q.
 
     The pivot of each column is its first nonzero entry at or below the
-    current row; rows already zero in that column are left alone.
-    Returns (the nonzero echelon rows, their pivot columns, the sign of
-    the row swaps)."""
+    diagonal; rows already zero in that column are left alone."""
     m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    sign = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+    n = len(m)
+    result = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
         if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            sign = -sign
-        prow = m[r]
-        below = [row for row in m[r + 1:] if row[c] != 0]
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            result = -result
+        prow = m[c]
+        result *= prow[c]
+        below = [row for row in m[c + 1:] if row[c] != 0]
         if below:
             inv = Fraction(1) / prow[c]
-            nonzero = [j for j in range(c + 1, ncols) if prow[j] != 0]
+            nonzero = [j for j in range(c + 1, n) if prow[j] != 0]
             for row in below:
                 f = row[c] * inv
-                row[c] = 0
                 for j in nonzero:
                     row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots, sign
-
-
-def det(rows) -> Fraction:
-    """Determinant of a square matrix."""
-    echelon, pivots, sign = eliminate(rows)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    return math.prod((row[i] for i, row in enumerate(echelon)), start=Fraction(sign))
-
-
-def solve(A, b) -> list[Fraction] | None:
-    """One solution of A x = b over Q, free unknowns 0, or None if the
-    system is inconsistent."""
-    ncols = len(A[0]) if A else 0
-    echelon, pivots, _ = eliminate([list(row) + [v] for row, v in zip(A, b)])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(reversed(echelon), reversed(pivots)):
-        known = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j])
-        x[c] = (row[ncols] - known) / Fraction(row[c])
-    return x
+    return result
 
 
 def diagonalize(rows) -> tuple[list[Fraction], list[list[Fraction]]]:

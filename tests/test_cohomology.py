@@ -4,8 +4,10 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +112,38 @@ def minors_snf(matrix):
         factors.append(d // previous)
         previous = d
     return factors
+
+
+def reference_solve(A, b):
+    """One solution of A x = b over Q, free unknowns 0, or None if the system
+    is inconsistent: dense forward elimination of the augmented matrix, the
+    pivot of each column its first nonzero entry at or below the current
+    row, then back-substitution."""
+    ncols = len(A[0]) if A else 0
+    m = [list(row) + [Fraction(v)] for row, v in zip(A, b)]
+    pivots = []
+    for c in range(ncols + 1):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        prow = m[r]
+        nonzero = [j for j in range(c + 1, ncols + 1) if prow[j] != 0]
+        for row in m[r + 1:]:
+            if row[c] != 0:
+                f = row[c] / Fraction(prow[c])
+                row[c] = 0
+                for j in nonzero:
+                    row[j] -= f * prow[j]
+        pivots.append(c)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reversed(m[:len(pivots)]), reversed(pivots)):
+        known = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j])
+        x[c] = (row[ncols] - known) / Fraction(row[c])
+    return x
 
 
 def sparse_rows(matrix):
@@ -276,3 +310,91 @@ def test_exact_implies_closed():
                          for _ in cx.simplices[0]), Parity.STRAIGHT, "exact")
     df = coboundary(f, cx)
     assert is_closed(df, cx)
+
+
+BUNDLED_SURFACES = ("torus", "mobius_strip", "annulus", "sphere_octahedron", "disk",
+                    "projective_plane")
+
+
+@functools.lru_cache(maxsize=None)
+def _surface(name, seed):
+    """A bundled surface refined twice and relabelled by ``seed``."""
+    return _relabelled(_refined(getattr(meshes, name), 2), random.Random(seed))
+
+
+def _random_cochain(cx, degree, rng):
+    return Cochain(degree, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for _ in cx.simplices[degree]))
+
+
+# RP^2 in degree 2 leaves a block with no unit entry after the unit pivots,
+# so the rational pass runs there: every 2-cochain is exact over Q, though
+# not over Z.  The Moebius strip is the other non-orientable surface.
+@example("projective_plane", 0, 2, "random", 0)
+@example("projective_plane", 1, 2, "coboundary", 1)
+@example("mobius_strip", 0, 1, "winding", 2)
+@example("mobius_strip", 1, 2, "random", 3)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BUNDLED_SURFACES), st.integers(0, 2), st.sampled_from([1, 2]),
+       st.sampled_from(["coboundary", "random", "winding"]), st.integers(0, 2**32))
+def test_is_exact_matches_dense_reference(name, seed, degree, kind, value_seed):
+    cx = _surface(name, seed)
+    rng = random.Random(value_seed)
+    omega = coboundary(_random_cochain(cx, degree - 1, rng), cx)
+    if kind == "random":
+        omega = _random_cochain(cx, degree, rng)
+    elif kind == "winding" and degree == 1:  # a 1-cochain; degree 2 keeps d f
+        omega = winding_cochain(cx) + omega
+    expected = reference_solve(cx.boundary_matrix(degree).T.tolist(), omega.values)
+    result = is_exact(omega, cx)
+    assert result["exact"] == (expected is not None)
+    if result["exact"]:
+        primitive = result["primitive"]
+        assert all(type(v) is Fraction for v in primitive.values)
+        assert coboundary(primitive, cx) == omega
+    else:
+        assert result["primitive"] is None
+
+
+def test_is_exact_runs_the_rational_pass_on_rp2(monkeypatch):
+    """The RP^2 draw above covers the rational pass: after the unit pivots
+    one row is left, holding no unit entry."""
+    from formcalc import cohomology
+    passes = []
+    unit_pivots = cohomology._unit_pivots
+
+    def counted(rows, rhs=None):
+        passes.append(sum(1 for row in rows if row))
+        return unit_pivots(rows, rhs)
+
+    monkeypatch.setattr(cohomology, "_unit_pivots", counted)
+    cx = _surface("projective_plane", 0)
+    omega = _random_cochain(cx, 2, random.Random(0))
+    assert is_exact(omega, cx)["exact"]
+    assert len(passes) > 1 and passes[1] > 0
+
+
+def test_is_exact_on_refine4_torus_within_a_second():
+    cx = _refined(meshes.torus, 4)
+    rng = random.Random(23)
+    df = coboundary(_random_cochain(cx, 0, rng), cx)
+    start = time.perf_counter()
+    result = is_exact(df, cx)
+    elapsed = time.perf_counter() - start
+    assert result["exact"] and coboundary(result["primitive"], cx) == df
+    assert elapsed < 1.0, f"is_exact took {elapsed:.2f} s on {len(cx.vertices)} vertices"
+
+
+def test_cochain_that_does_not_fit_the_complex_is_refused():
+    cx = meshes.torus()
+    values = [Fraction(0)] * cx.num_simplices(1)
+    too_long = Cochain(1, tuple(values + [Fraction(7)]))
+    too_short = Cochain(1, tuple(values[:-5]))
+    for omega in (too_long, too_short):
+        for check in (is_exact, is_closed, coboundary):
+            with pytest.raises(ValueError, match="values do not make a 1-cochain"):
+                check(omega, cx)
+    with pytest.raises(ValueError):
+        is_exact(Cochain(3, ()), cx)
+    with pytest.raises(ValueError):
+        is_closed(Cochain(2, tuple(values)), cx)

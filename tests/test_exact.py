@@ -1,5 +1,4 @@
-"""Exact kernel: determinant, solve, symmetric diagonalization, permutation
-sign.
+"""Exact kernel: determinant, symmetric diagonalization, permutation sign.
 
 Properties over small random rational matrices; every value is a Fraction.
 """
@@ -10,13 +9,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formcalc.exact import (
-    det,
-    diagonalize,
-    eliminate,
-    perm_sign,
-    solve,
-)
+from formcalc.exact import det, diagonalize, perm_sign
 
 dense_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 # zeros are drawn often so that singular and rank-deficient cases come up
@@ -53,45 +46,6 @@ def test_det_is_multiplicative(pair):
     d = det(matmul(A, B))
     assert type(d) is Fraction
     assert d == det(A) * det(B)
-
-
-@settings(max_examples=60, deadline=None)
-@given(square)
-def test_solve_unit_columns_give_a_two_sided_inverse(pair):
-    _, A = pair
-    assume(det(A) != 0)
-    n = len(A)
-    columns = [solve(A, e) for e in identity(n)]
-    Ainv = [list(row) for row in zip(*columns)]
-    assert all(all_fractions(row) for row in Ainv)
-    assert matmul(A, Ainv) == identity(n)
-    assert matmul(Ainv, A) == identity(n)
-
-
-def test_solve_finds_no_unit_column_through_a_singular_matrix():
-    A = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve(A, [1, 0]) is None and solve(A, [0, 1]) is None
-
-
-systems = st.tuples(st.integers(1, 5), st.integers(1, 4)).flatmap(
-    lambda shape: st.tuples(matrices(*shape), st.lists(entries, min_size=shape[0],
-                                                       max_size=shape[0])))
-
-
-def rank(rows) -> int:
-    return len(eliminate(rows)[1])
-
-
-@settings(max_examples=100, deadline=None)
-@given(systems)
-def test_solve_exactly_when_ranks_agree(system):
-    A, b = system
-    consistent = rank(A) == rank([row + [v] for row, v in zip(A, b)])
-    x = solve(A, b)
-    assert (x is not None) == consistent
-    if x is not None:
-        assert all_fractions(x)
-        assert [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in A] == b
 
 
 def symmetric(M):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formcalc.exact import det, perm_sign, solve
+from formcalc.exact import det, perm_sign
 from formcalc.forms import PolyForm, PolyVectorField
 from formcalc.metric import (
     CausalClass,
@@ -167,11 +167,16 @@ def test_opposite_timelike_vectors_get_opposite_orientations():
 # -- the tables against the dense formulas they replace -----------------------
 
 def reference_inverse(matrix):
-    """g^-1 column by column from ``exact.solve``, independent of the
+    """g^-1 as the adjugate over det (Cramer's rule), independent of the
     congruence the tables read it from."""
     n = len(matrix)
-    columns = [solve(matrix, [int(i == j) for i in range(n)]) for j in range(n)]
-    return [list(row) for row in zip(*columns)]
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1:] for k, row in enumerate(matrix) if k != i]
+        return (-1) ** (i + j) * det(minor)
+
+    d = det(matrix)
+    return [[cofactor(j, i) / d for j in range(n)] for i in range(n)]
 
 
 def reference_inner(g, u, v):
