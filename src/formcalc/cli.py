@@ -22,6 +22,7 @@ import numpy as np
 from . import meshes
 from .cochain import (
     Cochain,
+    _check_fits,
     cochain_from_csv,
     integrate,
     stokes_pairing_check,
@@ -69,13 +70,10 @@ def _load_cochain(path: str, cx: SimplicialComplex) -> Cochain:
     """A cochain CSV that gives one value per cell of ``cx`` in its degree."""
     with open(path) as f:
         omega = cochain_from_csv(f.read())
-    if omega.degree > cx.dim:
-        raise MeshFormatError(None, f"cochain degree {omega.degree} exceeds the "
-                                    f"mesh dimension {cx.dim}")
-    cells = cx.num_simplices(omega.degree)
-    if len(omega.values) != cells:
-        raise MeshFormatError(None, f"cochain has {len(omega.values)} values, the "
-                                    f"mesh has {cells} cells of degree {omega.degree}")
+    try:
+        _check_fits(omega, cx)
+    except ValueError as exc:
+        raise MeshFormatError(None, str(exc)) from exc
     return omega
 
 

@@ -43,6 +43,9 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.degree != other.degree or self.parity is not other.parity:
             raise ValueError("cochain degree/parity mismatch")
+        if len(self.values) != len(other.values):
+            raise ValueError(f"cannot add cochains of {len(self.values)} and "
+                             f"{len(other.values)} values")
         mode = "exact" if self.mode == other.mode == "exact" else "float"
         return Cochain(self.degree,
                        tuple(a + b for a, b in zip(self.values, other.values)),
@@ -86,13 +89,22 @@ def _value_array(omega: Cochain) -> np.ndarray:
 
 def integrate(omega: Cochain, chain: Chain):
     """Bilinear pairing; twisted cochains pair with twisted chains,
-    straight with straight, plus when orientations agree."""
+    straight with straight, plus when orientations agree.
+
+    A chain simplex the cochain has no value for raises ValueError.  A
+    cochain with more values than its complex has simplices cannot be told
+    from the chain alone, so it is not detected here (the CLI checks every
+    cochain against its mesh)."""
     if omega.degree != chain.degree:
         raise ValueError("cochain and chain degree mismatch")
     if omega.parity is not chain.parity:
         raise ValueError(
             f"{omega.parity} cochains pair with {omega.parity} chains, got "
             f"a {chain.parity} chain")
+    missing = next((i for i in chain.coefficients if not 0 <= i < len(omega.values)), None)
+    if missing is not None:
+        raise ValueError(f"the chain has {chain.degree}-simplex {missing}, the cochain "
+                         f"only {len(omega.values)} values")
     if omega.mode == "exact":
         return sum((c * omega.values[i] for i, c in chain.coefficients.items()),
                    Fraction(0))

@@ -1,11 +1,12 @@
-"""Exact kernel: permutation signs, determinants, one congruence.
+"""Exact kernel: permutation signs, one contraction, one congruence.
 
-Every orientation sign in formcalc is a permutation sign.  Forward
-elimination over Q gives determinants (of minors); one symmetric
+Every orientation sign in formcalc is a permutation sign.  One symmetric
 congruence (``diagonalize``) gives everything a metric is: signature,
-timelike reference, det g and g^-1.  Cochain primitives come from the
-sparse elimination in ``cohomology``.  Entries may be ints or Fractions;
-results are Fractions (or ints for signs), never floats.
+timelike reference, det g and g^-1.  One contraction (``contract``) gives
+the interior product, and through the rows of g^-1 the Hodge star and the
+induced inner product of forms.  Cochain primitives come from the sparse
+elimination in ``cohomology``.  Entries may be ints or Fractions; results
+are Fractions (or ints for signs), never floats.
 """
 
 from __future__ import annotations
@@ -25,32 +26,23 @@ def perm_sign(seq) -> int:
     return sign
 
 
-def det(rows) -> Fraction:
-    """Determinant of a square matrix by forward elimination over Q.
+def _accumulate(out: dict, key, value) -> None:
+    """``out[key] += value``, without a zero to start a missing key from."""
+    old = out.get(key)
+    out[key] = value if old is None else old + value
 
-    The pivot of each column is its first nonzero entry at or below the
-    diagonal; rows already zero in that column are left alone."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    result = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            result = -result
-        prow = m[c]
-        result *= prow[c]
-        below = [row for row in m[c + 1:] if row[c] != 0]
-        if below:
-            inv = Fraction(1) / prow[c]
-            nonzero = [j for j in range(c + 1, n) if prow[j] != 0]
-            for row in below:
-                f = row[c] * inv
-                for j in nonzero:
-                    row[j] -= f * prow[j]
-    return result
+
+def contract(terms: dict, vector) -> dict:
+    """Interior product of an {index set: coefficient} map with a vector:
+    dropping index k from position pos of an index set gives
+    ``vector[k] * coeff * (-1)^pos``.  Coefficients may be Fractions or
+    Polys; sums that cancel to zero are kept for the caller to drop."""
+    out: dict = {}
+    for idx, coeff in terms.items():
+        for pos, k in enumerate(idx):
+            term = vector[k] * coeff
+            _accumulate(out, idx[:pos] + idx[pos + 1:], -term if pos % 2 else term)
+    return out
 
 
 def diagonalize(rows) -> tuple[list[Fraction], list[list[Fraction]]]:

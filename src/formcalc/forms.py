@@ -11,16 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .exact import perm_sign
+from .exact import _accumulate, contract, perm_sign
 from .metric import Metric, metric_dual_vector
 from .parity import Parity
 from .poly import MeshFormatError, Poly, _as_fraction, parse_poly, substitute
-
-
-def _accumulate(out: dict, key, value) -> None:
-    """``out[key] += value``, without a zero to start a missing key from."""
-    old = out.get(key)
-    out[key] = value if old is None else old + value
 
 
 def _coerce_poly(nvars: int, value) -> Poly:
@@ -169,13 +163,8 @@ class PolyForm:
             raise ValueError("ambient dimension mismatch")
         if self.degree == 0:
             return PolyForm.zero(self.ambient_dim, 0, self.parity * V.parity)
-        out: dict = {}
-        for idx, coeff in self.terms.items():
-            for j, i in enumerate(idx):
-                term = V.components[i] * coeff
-                _accumulate(out, idx[:j] + idx[j + 1:], -term if j % 2 else term)
-        return PolyForm._trusted(self.ambient_dim, self.degree - 1, out,
-                                 self.parity * V.parity)
+        return PolyForm._trusted(self.ambient_dim, self.degree - 1,
+                                 contract(self.terms, V.components), self.parity * V.parity)
 
     def pullback(self, phi: Sequence[Poly]) -> "PolyForm":
         """Pullback along the polynomial map u -> phi(u) into this form's space.

@@ -6,11 +6,14 @@ convention is mostly-plus: one minus sign, on the time direction.
 Everything the operations read from a metric is in its ``MetricTables``:
 the signature, a timelike reference vector, det g and g^-1 (all four from
 one symmetric congruence), the nonzero entries of g and g^-1 row by row,
-sqrt|det g|, and, per index set I asked for, the nonzero minors
-det(g^-1[I, K]) (each by elimination) and the Hodge image of dx^I.  Equal
-matrix values share one table; each entry is computed on first use, and
-``metric_tables`` keeps the last TABLE_CACHE_SIZE matrices, keyed on their
-entries as integer (numerator, denominator) pairs.
+sqrt|det g|, and, per index set I asked for, the Hodge image of dx^I.
+The Hodge star and the induced inner product of forms are both repeated
+contractions (``exact.contract``) by rows of g^-1: *dx^I is the volume
+form contracted by the rows of I in turn, and <dx^I, dx^K> is dx^K
+contracted the same way down to a scalar.  Equal matrix values share one
+table; each entry is computed on first use, and ``metric_tables`` keeps
+the last TABLE_CACHE_SIZE matrices, keyed on their entries as integer
+(numerator, denominator) pairs.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Sequence
 
-from .exact import det, diagonalize, perm_sign
+from .exact import contract, diagonalize
 from .poly import _as_fraction
 
 TABLE_CACHE_SIZE = 128
@@ -45,15 +47,22 @@ def _nonzero_rows(matrix) -> tuple:
     return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in matrix)
 
 
+def _contract_rows(terms: dict, ginv, I: tuple) -> dict:
+    """{index set: Fraction} contracted by rows i of g^-1 for i in I, in that
+    order (the vectors (dx^i)^sharp); zero sums are dropped after each step."""
+    for i in I:
+        terms = {K: c for K, c in contract(terms, ginv[i]).items() if c}
+    return terms
+
+
 class MetricTables:
     """What the metric operations read, for one matrix value; each entry is
-    computed on first use, and the per-index-set entries are kept in plain
-    dicts of tuples.  Every metric equal to that value shares these."""
+    computed on first use, and the Hodge images are kept in a plain dict of
+    tuples.  Every metric equal to that value shares these."""
 
     def __init__(self, matrix: tuple):
         self.matrix = matrix
         self.dim = len(matrix)
-        self._minors: dict[tuple, tuple] = {}
         self._hodge: dict[tuple, tuple] = {}
 
     @cached_property
@@ -98,34 +107,17 @@ class MetricTables:
         the first negative pivot of ``diagonalize``; None when g has none."""
         return next((tuple(b) for d, b in zip(*self._diagonal) if d < 0), None)
 
-    def minors(self, I: tuple) -> tuple:
-        """The nonzero minors det(g^-1[I, K]) as ((K, minor), ...), K over the
-        p-subsets of the columns where some row of I is nonzero; a diagonal
-        g^-1 gives K = I alone."""
-        table = self._minors.get(I)
-        if table is None:
-            ginv = self.inverse
-            cols = sorted({j for i in I for j, _ in self.inverse_rows[i]})
-            minors = ((K, det([[ginv[i][j] for j in K] for i in I]))
-                      for K in combinations(cols, len(I)))
-            table = self._minors[I] = tuple((K, m) for K, m in minors if m)
-        return table
-
     def hodge_image(self, I: tuple) -> tuple:
         """The Hodge star of dx^I as ((C, factor), ...) with *dx^I = sum
-        factor dx^C, one term per nonzero minor (I, K), C the complement of
-        K and factor = sqrt|det g| * minor * sgn(K + C)."""
+        factor dx^C: the volume form sqrt|det g| dx^0 ^ ... ^ dx^(n-1)
+        contracted by (dx^i)^sharp for i in I, in that order."""
         table = self._hodge.get(I)
         if table is None:
             scale = self.volume_scale
             if scale is None:
                 raise ValueError(_IRRATIONAL_SCALE)
-            full = range(self.dim)
-            images = []
-            for K, m in self.minors(I):
-                C = tuple(i for i in full if i not in K)
-                images.append((C, scale * m * perm_sign(K + C)))
-            table = self._hodge[I] = tuple(images)
+            volume = {tuple(range(self.dim)): scale}
+            table = self._hodge[I] = tuple(_contract_rows(volume, self.inverse, I).items())
         return table
 
 
@@ -284,7 +276,8 @@ def gamma_factor(u: Sequence, v: Sequence, g: Metric):
 def form_inner(a_terms: dict, b_terms: dict, g: Metric) -> Fraction:
     """Induced inner product of two constant p-forms given as
     {index-set: Fraction} coefficient maps, index sets strictly increasing:
-    the sum of a_I b_K det(g^-1[I, K]) over the nonzero minors."""
+    the sum over I of a_I times b contracted by (dx^i)^sharp for i in I.
+    It never reads sqrt|det g|, so it holds when that is irrational."""
     total = Fraction(0)
     if not (a_terms and b_terms):
         return total
@@ -294,11 +287,9 @@ def form_inner(a_terms: dict, b_terms: dict, g: Metric) -> Fraction:
     for idx in (*a_terms, *b_terms):
         if not all(0 <= i < j for i, j in zip(idx, idx[1:] + (g.dim,))):
             raise ValueError(f"index sets must be strictly increasing in 0..{g.dim - 1}")
+    ginv = g.tables.inverse
     for idx_a, ca in a_terms.items():
-        for K, m in g.tables.minors(idx_a):
-            cb = b_terms.get(K)
-            if cb is not None:
-                total += ca * cb * m
+        total += ca * _contract_rows(b_terms, ginv, idx_a).get((), 0)
     return total
 
 

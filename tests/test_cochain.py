@@ -122,6 +122,19 @@ def test_integration_parity_pairing_enforced():
         integrate(straight, cx.fundamental_chain(Parity.TWISTED))
 
 
+def test_adding_cochains_of_different_lengths_is_refused():
+    with pytest.raises(ValueError, match="3 and 1 values"):
+        Cochain(1, (1, 2, 3)) + Cochain(1, (1,))
+
+
+def test_integrate_names_the_simplex_a_short_cochain_lacks():
+    cx = meshes.torus()
+    short = frac_cochain(cx, 2, [1] * (cx.num_simplices(2) - 5))
+    with pytest.raises(ValueError, match=rf"2-simplex {len(short.values)}\b.* only "
+                                         rf"{len(short.values)} values"):
+        integrate(short, cx.fundamental_chain(Parity.STRAIGHT))
+
+
 def test_mobius_twisted_only():
     cx = meshes.mobius_minimal()
     twisted = frac_cochain(cx, 2, [1] * 5, Parity.TWISTED)

@@ -1,15 +1,17 @@
-"""Exact kernel: determinant, symmetric diagonalization, permutation sign.
+"""Exact kernel: symmetric diagonalization, contraction, permutation sign.
 
 Properties over small random rational matrices; every value is a Fraction.
 """
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formcalc.exact import det, diagonalize, perm_sign
+from formcalc.exact import contract, diagonalize, perm_sign
+from formcalc.poly import Poly
 
 dense_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 # zeros are drawn often so that singular and rank-deficient cases come up
@@ -39,13 +41,11 @@ def all_fractions(values):
     return all(type(v) is Fraction for v in values)
 
 
-@settings(max_examples=60, deadline=None)
-@given(square)
-def test_det_is_multiplicative(pair):
-    A, B = pair
-    d = det(matmul(A, B))
-    assert type(d) is Fraction
-    assert d == det(A) * det(B)
+def det(rows):
+    """The Leibniz sum over permutations, independent of any elimination."""
+    n = len(rows)
+    return sum((perm_sign(s) * math.prod((rows[i][s[i]] for i in range(n)), start=Fraction(1))
+                for s in permutations(range(n))), Fraction(0))
 
 
 def symmetric(M):
@@ -112,3 +112,19 @@ def test_perm_sign_counts_inversions(seq):
     else:
         assert perm_sign(seq) == (-1) ** inversions(seq)
 
+
+
+def test_contract_drops_each_index_with_its_position_sign():
+    # i_v (3 dx0^dx1 + dx0^dx2) = 3 (v0 dx1 - v1 dx0) + v0 dx2 - v2 dx0
+    terms = {(0, 1): Fraction(3), (0, 2): Fraction(1)}
+    v = (Fraction(2), Fraction(5), Fraction(1, 2))
+    assert contract(terms, v) == {(1,): 6, (0,): -15 - Fraction(1, 2), (2,): 2}
+    # sums that cancel stay, for the caller to drop
+    assert contract({(0, 1): Fraction(1)}, (Fraction(0), Fraction(1))) == {(1,): 0, (0,): -1}
+    assert contract({(): Fraction(7)}, v) == {}
+
+    x, y = Poly(3, {(1, 0, 0): 1}), Poly(3, {(0, 1, 0): 1})
+    # i_(y, x, 1) (x dx0^dx2 - y dx1^dx2): the dx2 terms yx - xy cancel to a kept zero
+    got = contract({(0, 2): x, (1, 2): -y}, (y, x, Poly.constant(3, 1)))
+    assert got == {(2,): Poly.zero(3), (0,): -x, (1,): y}
+    assert all(type(c) is Poly for c in got.values())

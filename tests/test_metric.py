@@ -3,13 +3,13 @@ the value-keyed tables against the dense formulas they replace."""
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formcalc.exact import det, perm_sign
+from formcalc.exact import perm_sign
 from formcalc.forms import PolyForm, PolyVectorField
 from formcalc.metric import (
     CausalClass,
@@ -165,6 +165,13 @@ def test_opposite_timelike_vectors_get_opposite_orientations():
 
 
 # -- the tables against the dense formulas they replace -----------------------
+
+def det(rows):
+    """The Leibniz sum over permutations, independent of any elimination."""
+    n = len(rows)
+    return sum((perm_sign(s) * math.prod((rows[i][s[i]] for i in range(n)), start=Fraction(1))
+                for s in permutations(range(n))), Fraction(0))
+
 
 def reference_inverse(matrix):
     """g^-1 as the adjugate over det (Cramer's rule), independent of the
@@ -365,4 +372,6 @@ def test_diagonal_hodge_images_are_signed_products():
     g = Metric.diag(-1, 4, 1)
     # *dx1 = sqrt|det g| g^11 sgn(1,0,2) dx0^dx2 = 2 * 1/4 * -1
     assert g.tables.hodge_image((1,)) == (((0, 2), Fraction(-1, 2)),)
-    assert g.tables.minors((0, 1)) == (((0, 1), Fraction(-1, 4)),)
+    # <dx0^dx1, dx0^dx1> = g^00 g^11 = -1 * 1/4
+    dx01 = {(0, 1): Fraction(1)}
+    assert form_inner(dx01, dx01, g) == Fraction(-1, 4)
