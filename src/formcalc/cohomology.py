@@ -157,11 +157,19 @@ def betti_numbers(complex: SimplicialComplex) -> CohomologyReport:
     return CohomologyReport(betti, torsions, complex.orientable(), chi)
 
 
+def _check_exact(omega: Cochain, complex: SimplicialComplex) -> None:
+    """Raise ValueError unless omega is an exact-mode cochain that fits the
+    complex: a float cochain's zero test would read rounding, not the form."""
+    if omega.mode != "exact":
+        raise ValueError("closedness and exactness are decided in exact mode only; "
+                         "got a float-mode cochain")
+    _check_fits(omega, complex)
+
+
 def is_closed(omega: Cochain, complex: SimplicialComplex) -> bool:
-    if omega.degree == complex.dim:
-        _check_fits(omega, complex)
-        return True
-    return coboundary(omega, complex).is_zero()
+    """Whether d(omega) = 0; exact-mode cochains only."""
+    _check_exact(omega, complex)
+    return omega.degree == complex.dim or coboundary(omega, complex).is_zero()
 
 
 def is_exact(omega: Cochain, complex: SimplicialComplex) -> dict:
@@ -169,8 +177,9 @@ def is_exact(omega: Cochain, complex: SimplicialComplex) -> dict:
     pivots first, then (every nonzero being a unit over Q) the rows left,
     each scaled to hold a 1, until no row is left.  A leftover 0 = b != 0
     means not exact; otherwise back-substitution through the pivots gives
-    eta, free unknowns 0.  Returns {'exact': bool, 'primitive': Cochain or None}."""
-    _check_fits(omega, complex)
+    eta, free unknowns 0.  Returns {'exact': bool, 'primitive': Cochain or None}.
+    Exact-mode cochains only."""
+    _check_exact(omega, complex)
     p = omega.degree
     if p == 0:
         return {"exact": omega.is_zero(), "primitive": None}

@@ -277,16 +277,21 @@ def solve_poisson_grounded(grid: RectGrid, source_per_node: np.ndarray,
     weights = edge_hodge_diagonal(grid, coeff)
     Lff = _interior_operator(grid, weights)
     rhs = src.reshape(grid.node_shape)[interior].ravel()
+    # Solve for 2**-exponent phi, whose source peaks in [1/2, 1), so that
+    # CG's dot products neither overflow nor underflow; scaling by a power
+    # of two is exact, so a source already in range gives the same bits.
+    exponent = math.frexp(float(max(rhs.max(initial=0.0), -rhs.min(initial=0.0))))[1]
+    rhs = np.ldexp(rhs, -exponent)
     x, info, residuals = cg(Lff, rhs, M=_uniform_inverse(grid), rtol=tol, maxiter=20000)
     if info != 0:
         raise RuntimeError(f"conjugate gradient did not converge (info={info}); "
-                           f"residual {np.linalg.norm(Lff @ x - rhs):.3e}")
+                           f"relative residual {residuals[-1]:.3e}")
+    res = float(np.linalg.norm(Lff @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
     phi = np.zeros(grid.node_shape)
-    phi[interior] = x.reshape(free_shape)
+    phi[interior] = np.ldexp(x, exponent).reshape(free_shape)
     phi = phi.ravel()
     field = phi[tail] - phi[head]  # -d0 phi
     flux = weights * field
-    res = float(np.linalg.norm(Lff @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
     return StaticsSolution(phi, field, flux, res, len(residuals), residuals)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -258,19 +259,17 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
     dual-cell charge increment (charge-conserving by construction of the
     deposition); cells left out carry no current or charge change.
 
-    Each step sweeps the grid in slabs of axis-0 planes (``_slabs``): B
-    slab by slab, taking max |B| from each slab as it is updated, then E
-    once B is complete, then the current, then the energy over the whole
-    grid, then the divergence diagnostics slab by slab.  Each sweep runs
-    on one worker per usable CPU, capped at the number of slabs: the
-    calling thread and a pool of threads, each worker with a contiguous
-    run of slabs and its own two slab-sized scratch buffers.  A sweep
-    writes only its own slabs' planes of one field and reads the other
-    field, so every element goes through the same operations whatever the
-    worker count.  ``sources`` and the current and charge updates run on
-    the calling thread, between the sweeps; with a single worker no pool
-    is made.  Fields are updated in place and every intermediate goes
-    through the scratch buffers, so a step allocates no array."""
+    Each step sweeps the grid in slabs of axis-0 planes (``_slabs``): one
+    update adds a scaled curl on one lattice into the field on the other,
+    B from E and then E from B; then come the current, the energy and one
+    diagnostics sweep for max |B|, |dB| and the Gauss residual.  A sweep
+    runs on one worker per usable CPU, capped at the number of slabs, each
+    with a contiguous run of slabs and two slab-sized scratch buffers, and
+    writes only its own planes, so every element goes through the same
+    operations whatever the worker count.  ``sources`` and the current and
+    charge updates run on the calling thread, between the sweeps.  Fields
+    are updated in place through the scratch buffers, so a step allocates
+    no array."""
     limit = state.cfl_limit()
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got steps={steps}")
@@ -291,31 +290,26 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
         parts.append([(rows, slice(*rows), work[:rows[1] - rows[0]],
                        tmp[:rows[1] - rows[0]]) for rows in own])
 
-    def update_b(part) -> float:
-        top = 0.0
+    def update(target: list, source: list, dual: bool, factor: float, part) -> None:
         for rows, s, w, t in part:
-            for d, b in enumerate(state.B):
-                _curl_component(state.E, d, h, False, w, t, rows)
-                w *= dt
-                b[s] -= w
+            for d, f in enumerate(target):
+                _curl_component(source, d, h, dual, w, t, rows)
+                w *= factor
+                f[s] += w
+
+    update_b = functools.partial(update, state.B, state.E, False, -dt)
+    update_e = functools.partial(update, state.E, state.B, True, dt / (state.eps * state.mu))
+
+    def diagnostics(part) -> tuple:
+        top = div_b = gauss = 0.0
+        for rows, s, w, t in part:
+            for b in state.B:
                 top = _abs_max(b[s], top)
-        return top
-
-    def update_e(part) -> None:
-        for rows, s, w, t in part:
-            for d, e in enumerate(state.E):
-                _curl_component(state.B, d, h, True, w, t, rows)
-                w *= dt / (state.eps * state.mu)
-                e[s] += w
-
-    def divergences(part) -> tuple:
-        div_b = gauss = 0.0
-        for rows, s, w, t in part:
             div_b = _abs_max(state.div_B(rows, w, t), div_b)
             residual = state.div_D(rows, w, t)
             residual -= np.divide(state.rho[s], cellvol, out=t)
             gauss = _abs_max(residual, gauss)
-        return div_b, gauss
+        return top, div_b, gauss
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging: import on use
@@ -324,8 +318,7 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
         context = contextlib.nullcontext()
     with context as pool:
         for step in range(steps):
-            # np.max, unlike Python's max, keeps a NaN from any worker
-            scale = max(float(np.max(_sweep(pool, update_b, parts))), 1e-300)
+            _sweep(pool, update_b, parts)
             J, drho = sources(step) if sources is not None else (None, None)
             if drho:
                 for cell, increment in drho.items():
@@ -337,8 +330,9 @@ def evolve_leapfrog(state: EMState, steps: int, dt: float,
             state.time += dt
             state.diagnostics["time"].append(state.time)
             state.diagnostics["energy"].append(state.energy())
-            div_b, gauss = map(float, np.max(_sweep(pool, divergences, parts), axis=0))
-            state.diagnostics["max_divB"].append(div_b * hmin / scale)
+            # np.max, unlike Python's max, keeps a NaN from any worker
+            top, div_b, gauss = map(float, np.max(_sweep(pool, diagnostics, parts), axis=0))
+            state.diagnostics["max_divB"].append(div_b * hmin / max(top, 1e-300))
             state.diagnostics["gauss_residual"].append(gauss)
     return state
 

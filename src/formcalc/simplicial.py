@@ -203,16 +203,14 @@ def build_complex(vertex_coords: Iterable[Sequence], top_simplices: Iterable[Seq
     """Build a complex from coordinates and ordered top-simplex tuples.
 
     All faces are generated (closure property); lower simplices are stored
-    in ascending vertex order, top simplices as given."""
+    in ascending vertex order, top simplices as given.  Every vertex is a
+    0-simplex, whether or not a simplex uses it."""
     vertices = [tuple(v) for v in vertex_coords]
     for i, v in enumerate(vertices):
         if len(v) != len(vertices[0]):
             raise ValueError(f"vertex {i} has {len(v)} coordinates, expected {len(vertices[0])}")
     tops = [tuple(int(i) for i in s) for s in top_simplices]
-    if not tops:
-        levels = [[(i,) for i in range(len(vertices))]]
-        return SimplicialComplex(vertices, levels)
-    dim = max(len(s) for s in tops) - 1
+    dim = max((len(s) for s in tops), default=1) - 1
     for s in tops:
         if len(set(s)) != len(s):
             raise ValueError(f"duplicate vertex in simplex {s}")
@@ -226,10 +224,11 @@ def build_complex(vertex_coords: Iterable[Sequence], top_simplices: Iterable[Seq
         if len(s) == dim + 1:
             top_level.setdefault(key, s)
         # every face in sorted order, and a lower simplex itself
-        for k in range(min(len(s), dim)):
+        for k in range(1, min(len(s), dim)):
             levels[k].update(combinations(key, k + 1))
-    return SimplicialComplex(vertices, [sorted(level) for level in levels]
-                             + [list(top_level.values())])
+    cells = [sorted(level) for level in levels] + [list(top_level.values())]
+    cells[0] = [(i,) for i in range(len(vertices))]  # every vertex, in a simplex or not
+    return SimplicialComplex(vertices, cells)
 
 
 def boundary(chain: Chain, complex: SimplicialComplex) -> Chain:

@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -50,6 +51,20 @@ def test_mesh_info_on_non_pseudo_manifold(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_vertex_in_no_simplex_is_a_component(tmp_path, capsys):
+    """Every v line is a 0-simplex: a triangle plus a lone vertex has two
+    components and Euler characteristic 4 - 3 + 1 = 2."""
+    path = tmp_path / "lone.mesh"
+    path.write_text("dim 2\nv 0 0\nv 1 0\nv 0 1\nv 5 5\ns 0 1 2\n")
+    assert main(["mesh-info", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "cells per degree: 4 3 1" in out and "euler characteristic: 2" in out
+    assert main(["cohomology", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1].split() == ["0", "2", "-"]
+    assert "euler characteristic: 2" in out
+
+
 def test_cohomology_table(capsys):
     assert main(["cohomology", "torus"]) == 0
     out = capsys.readouterr().out
@@ -79,6 +94,28 @@ def test_stokes_check(tmp_path, capsys):
     assert main(["stokes-check", "disk", str(path)]) == 0
     out = capsys.readouterr().out
     assert "-7" in out
+
+
+@pytest.mark.parametrize("mesh", ["disk", "annulus", "sphere", "torus", "mobius"])
+def test_stokes_check_float_mode_passes_within_its_tolerance(tmp_path, capsys,
+                                                             monkeypatch, mesh):
+    """A float cochain's two Stokes sums differ by rounding (on the sphere
+    5.55e-17 against 0.0); they pass within 1e-12 * sum |omega|, and only
+    by that tolerance."""
+    cx = meshes.BUILDERS[mesh]()
+    rng = random.Random(5)
+    omega = Cochain(1, tuple(rng.random() / 7 for _ in cx.simplices[1]),
+                    Parity.TWISTED, "float")
+    path = tmp_path / "omega.csv"
+    path.write_text(cochain_to_csv(omega))
+    assert main(["stokes-check", mesh, str(path)]) == 0
+    lhs, rhs = (float(line.split(" = ")[1]) for line in capsys.readouterr().out.splitlines())
+    assert lhs != rhs
+    monkeypatch.setattr(cli, "STOKES_FLOAT_RTOL", 0.0)
+    assert main(["stokes-check", mesh, str(path)]) == 1
+    # values whose sums overflow: a verdict, not an OverflowError
+    path.write_text(cochain_to_csv(omega.scale(1e308)))
+    assert main(["stokes-check", mesh, str(path)]) in (0, 1)
 
 
 def test_hodge_subcommand(tmp_path, capsys):
@@ -200,6 +237,22 @@ def test_maxwell_static_csv_deterministic(outdir, capsys):
     assert main(args) == 0
     second = (outdir / "magnetostatics_circulation.csv").read_bytes()
     assert first == second
+
+
+@pytest.mark.parametrize("args", [
+    ["maxwell-static-e", "--cells", "16", "--radii", "3,6", "--charge=1e200"],
+    ["maxwell-static-e", "--cells", "16", "--radii", "3,6", "--charge=1e-300"],
+    ["maxwell-static-b", "--cells", "32", "--radii", "4,9", "--current=1e200"],
+    ["maxwell-static-b", "--cells", "32", "--radii", "4,9", "--current=1e-300"],
+], ids=["charge-1e200", "charge-1e-300", "current-1e200", "current-1e-300"])
+def test_maxwell_static_at_extreme_source_sizes(outdir, capsys, args):
+    """A source whose squares overflow or underflow a float still solves:
+    every box returns it to 1e-12."""
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    errors = [float(line.rsplit("relative error ", 1)[1].rstrip(")"))
+              for line in out.splitlines() if line.startswith("radius")]
+    assert len(errors) == 2 and max(errors) <= 1e-12
 
 
 def test_maxwell_evolve_writes_diagnostics(outdir, capsys):

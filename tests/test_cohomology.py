@@ -312,6 +312,23 @@ def test_exact_implies_closed():
     assert is_closed(df, cx)
 
 
+def test_float_cochain_gets_no_closed_or_exact_verdict():
+    """d of a float 0-cochain, scaled by 0.1, is closed in the mathematics,
+    but its float coboundary reads up to 2.2e-16: a float verdict would be
+    "not closed, not exact".  Both checks refuse float mode instead."""
+    cx = _refined(meshes.torus, 2)
+    rng = random.Random(3)
+    f = Cochain(0, tuple(rng.random() * 10 for _ in cx.simplices[0]), mode="float")
+    omega = coboundary(f, cx).scale(0.1)
+    assert not coboundary(omega, cx).is_zero()
+    for check in (is_closed, is_exact):
+        with pytest.raises(ValueError, match="exact mode only"):
+            check(omega, cx)
+    top = Cochain(2, (0.5,) * cx.num_simplices(2), mode="float")
+    with pytest.raises(ValueError, match="exact mode only"):
+        is_closed(top, cx)
+
+
 BUNDLED_SURFACES = ("torus", "mobius_strip", "annulus", "sphere_octahedron", "disk",
                     "projective_plane")
 

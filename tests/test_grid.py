@@ -185,6 +185,32 @@ def test_grounded_solve_matches_direct_solve(shape, spacing, uniform):
     assert sol.residuals[-1] <= 1e-10 < min(sol.residuals[:-1], default=1.0)
 
 
+@pytest.mark.parametrize("scale", [2.0**-900, 2.0**660, 1e-300, 1e200],
+                         ids=["2^-900", "2^660", "1e-300", "1e200"])
+@pytest.mark.parametrize("uniform", [True, False], ids=["scalar", "per-cell"])
+def test_grounded_solve_at_extreme_source_sizes(scale, uniform):
+    """The solve scales the source by a power of two that brings it into
+    [1/2, 1), so CG's dot products neither overflow nor underflow: a source
+    times 2**k gives the potential, field and flux times 2**k bit for bit,
+    and a source of 1e200 or 1e-300 solves like one of size 1."""
+    grid = RectGrid((6, 7, 5), (0.5, 1.0, 0.75))
+    rng = np.random.default_rng(8)
+    source = rng.normal(size=grid.node_count())
+    coeff = 1.5 if uniform else rng.uniform(0.5, 3.0, grid.shape)
+    unit = solve_poisson_grounded(grid, source, coeff)
+    sol = solve_poisson_grounded(grid, source * scale, coeff)
+    mantissa, exponent = np.frexp(scale)
+    if mantissa == 0.5:
+        for got, want in [(sol.potential, unit.potential), (sol.field_edges, unit.field_edges),
+                          (sol.flux_edges, unit.flux_edges)]:
+            assert np.array_equal(got, np.ldexp(want, exponent - 1))
+        assert (sol.residual, sol.residuals) == (unit.residual, unit.residuals)
+    else:
+        peak = np.abs(unit.flux_edges).max() * scale
+        assert np.abs(sol.flux_edges - unit.flux_edges * scale).max() <= 1e-12 * peak
+        assert sol.iterations == unit.iterations and sol.residual <= 1e-10
+
+
 ONE_CELL_AT_ZERO = np.ones((8, 8, 8))
 ONE_CELL_AT_ZERO[3, 4, 5] = 0.0
 

@@ -115,6 +115,15 @@ def test_loop_chain_is_a_cycle_and_reverses_sign():
     assert loop_chain(cx, [3, 2, 1, 0]) == -rim
 
 
+def test_every_vertex_is_a_0_simplex():
+    points = [(0, 0), (1, 0), (0, 1), (5, 5)]
+    cx = build_complex(points, [(0, 1, 2)])
+    assert cx.simplices[0] == [(0,), (1,), (2,), (3,)]
+    assert cx.euler_characteristic() == 2
+    assert parse_mesh(mesh_to_text(cx)).simplices == cx.simplices
+    assert build_complex(points, [(2,)]).simplices == [[(0,), (1,), (2,), (3,)]]
+
+
 def test_build_complex_rejects_bad_cells():
     with pytest.raises(ValueError):
         build_complex([(0, 0), (1, 0)], [(0, 0, 1)])
