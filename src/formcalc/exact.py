@@ -1,12 +1,12 @@
 """Exact kernel: permutation signs, one contraction, one congruence.
 
-Every orientation sign in formcalc is a permutation sign.  One symmetric
-congruence (``diagonalize``) gives everything a metric is: signature,
-timelike reference, det g and g^-1.  One contraction (``contract``) gives
-the interior product, and through the rows of g^-1 the Hodge star and the
-induced inner product of forms.  Cochain primitives come from the sparse
-elimination in ``cohomology``.  Entries may be ints or Fractions; results
-are Fractions (or ints for signs), never floats.
+One symmetric congruence (``diagonalize``) gives everything a metric is:
+signature, timelike reference, det g and g^-1.  One contraction
+(``contract``) of index-set maps gives, through the rows of g^-1, the
+Hodge images and the induced inner product of forms; ``forms`` takes the
+signs of its own products from the bits of its blades.  Cochain primitives
+come from the sparse elimination in ``cohomology``.  Entries may be ints
+or Fractions; results are Fractions (or ints for signs), never floats.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ convention is mostly-plus: one minus sign, on the time direction.
 Everything the operations read from a metric is in its ``MetricTables``:
 the signature, a timelike reference vector, det g and g^-1 (all four from
 one symmetric congruence), the nonzero entries of g and g^-1 row by row,
-sqrt|det g|, and, per index set I asked for, the Hodge image of dx^I.
+sqrt|det g|, and, per blade asked for (the bitmask of an index set I, as
+``forms`` keys its terms), the Hodge image of dx^I.
 The Hodge star and the induced inner product of forms are both repeated
 contractions (``exact.contract``) by rows of g^-1: *dx^I is the volume
 form contracted by the rows of I in turn, and <dx^I, dx^K> is dx^K
@@ -57,13 +58,13 @@ def _contract_rows(terms: dict, ginv, I: tuple) -> dict:
 
 class MetricTables:
     """What the metric operations read, for one matrix value; each entry is
-    computed on first use, and the Hodge images are kept in a plain dict of
-    tuples.  Every metric equal to that value shares these."""
+    computed on first use, and the Hodge images are kept in a plain dict
+    keyed by blade.  Every metric equal to that value shares these."""
 
     def __init__(self, matrix: tuple):
         self.matrix = matrix
         self.dim = len(matrix)
-        self._hodge: dict[tuple, tuple] = {}
+        self._hodge: dict[int, tuple] = {}
 
     @cached_property
     def det(self) -> Fraction:
@@ -107,17 +108,21 @@ class MetricTables:
         the first negative pivot of ``diagonalize``; None when g has none."""
         return next((tuple(b) for d, b in zip(*self._diagonal) if d < 0), None)
 
-    def hodge_image(self, I: tuple) -> tuple:
-        """The Hodge star of dx^I as ((C, factor), ...) with *dx^I = sum
-        factor dx^C: the volume form sqrt|det g| dx^0 ^ ... ^ dx^(n-1)
-        contracted by (dx^i)^sharp for i in I, in that order."""
-        table = self._hodge.get(I)
+    def hodge_image(self, blade: int) -> tuple:
+        """The Hodge star of dx^I, I the set bits of ``blade``, as
+        ((C, factor), ...) with *dx^I = sum factor dx^C, each C a blade too:
+        the volume form sqrt|det g| dx^0 ^ ... ^ dx^(n-1) contracted by
+        (dx^i)^sharp for i in I, in increasing order."""
+        table = self._hodge.get(blade)
         if table is None:
             scale = self.volume_scale
             if scale is None:
                 raise ValueError(_IRRATIONAL_SCALE)
             volume = {tuple(range(self.dim)): scale}
-            table = self._hodge[I] = tuple(_contract_rows(volume, self.inverse, I).items())
+            I = tuple(i for i in range(self.dim) if blade >> i & 1)
+            table = self._hodge[blade] = tuple(
+                (sum(1 << i for i in C), factor)
+                for C, factor in _contract_rows(volume, self.inverse, I).items())
         return table
 
 

@@ -95,6 +95,14 @@ class SimplicialComplex:
         return sum((-1) ** k * self.num_simplices(k) for k in range(self.dim + 1))
 
     def is_pseudo_manifold(self) -> bool:
+        """Pure, and every codimension-1 simplex bounds at most two top
+        simplices.  Pure: every simplex, each vertex included, is a face of
+        a top simplex, so each level's simplices are all facets of the next."""
+        pure = all(np.unique(self.faces[k]).size == self.num_simplices(k - 1)
+                   for k in range(1, self.dim + 1))
+        return pure and self._unbranched()
+
+    def _unbranched(self) -> bool:
         """Every codimension-1 simplex bounds at most two top simplices."""
         if self.dim == 0:
             return True
@@ -108,8 +116,9 @@ class SimplicialComplex:
         Returns (orientable, per-top-simplex signs) where the signs make
         induced orientations on every shared facet cancel; signs is None
         when no consistent assignment exists."""
-        if not self.is_pseudo_manifold():
-            raise ValueError("orientability requires a pseudo-manifold")
+        if not self._unbranched():
+            raise ValueError("orientability requires every facet to bound "
+                             "at most two top simplices")
         n = self.dim
         if n == 0:
             return True, [1] * self.num_simplices(0)
@@ -143,9 +152,9 @@ class SimplicialComplex:
         return True, signs
 
     def orientable(self) -> bool:
-        """Whether the top cells admit a coherent orientation; False for a
-        complex that is not a pseudo-manifold."""
-        return self.is_pseudo_manifold() and self.orientability()[0]
+        """Whether the top cells admit a coherent orientation; False when a
+        facet bounds more than two top simplices."""
+        return self._unbranched() and self.orientability()[0]
 
     def fundamental_chain(self, parity: Parity = Parity.TWISTED) -> "Chain":
         """All top cells with weight 1.

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import io
+import math
 import os
 import random
 import subprocess
@@ -48,6 +49,19 @@ def test_mesh_info_on_non_pseudo_manifold(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "pseudo-manifold: False" in captured.out
     assert "orientable: False" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("tops", ["s 0 1 2\n", "s 0 1 2\ns 2 3\n"],
+                         ids=["lone-vertex", "dangling-edge"])
+def test_mesh_info_reports_an_impure_complex(tmp_path, capsys, tops):
+    """A vertex or an edge in no triangle: each facet bounds at most two
+    triangles, but the complex is not pure, so it is no pseudo-manifold."""
+    path = tmp_path / "impure.mesh"
+    path.write_text("dim 2\nv 0 0\nv 1 0\nv 0 1\nv 5 5\n" + tops)
+    assert main(["mesh-info", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "pseudo-manifold: False" in captured.out
     assert captured.err == ""
 
 
@@ -116,6 +130,22 @@ def test_stokes_check_float_mode_passes_within_its_tolerance(tmp_path, capsys,
     # values whose sums overflow: a verdict, not an OverflowError
     path.write_text(cochain_to_csv(omega.scale(1e308)))
     assert main(["stokes-check", mesh, str(path)]) in (0, 1)
+
+
+@pytest.mark.parametrize("mesh", ["torus", "sphere"])
+def test_stokes_check_float_mode_near_the_float_limit(tmp_path, capsys, mesh):
+    """Values up to 1.5e308: the sums run on omega scaled by a power of two,
+    so they neither overflow (inf on the torus, nan and a RuntimeWarning,
+    an error here, on the sphere) nor fail the check; both sides print finite."""
+    cx = meshes.BUILDERS[mesh]()
+    rng = random.Random(5)
+    omega = Cochain(1, tuple(1.5e308 * rng.random() for _ in cx.simplices[1]),
+                    Parity.TWISTED, "float")
+    path = tmp_path / "omega.csv"
+    path.write_text(cochain_to_csv(omega))
+    assert main(["stokes-check", mesh, str(path)]) == 0
+    lhs, rhs = (float(line.split(" = ")[1]) for line in capsys.readouterr().out.splitlines())
+    assert math.isfinite(lhs) and rhs == 0.0
 
 
 def test_hodge_subcommand(tmp_path, capsys):

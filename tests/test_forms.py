@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import formcalc
 from formcalc.cochain import Cochain
+from formcalc.exact import contract, perm_sign
 from formcalc.forms import (
     PolyForm,
     PolyVectorField,
@@ -518,8 +519,9 @@ def test_products_and_powers_past_the_field_raise():
 
 
 def test_pullback_builds_each_power_of_phi_once(monkeypatch):
-    """A second term with the same power of x0 costs only its own wedge
-    product: the powers of phi are built once per pullback."""
+    """A second term with the same power of x0 costs no further polynomial
+    product: the powers of phi are built once per pullback, and the wedge
+    with d phi runs on the form's own numerators."""
     calls = []
     mul = Poly.__mul__
 
@@ -538,7 +540,7 @@ def test_pullback_builds_each_power_of_phi_once(monkeypatch):
         w.pullback(phi)
         return len(calls)
 
-    assert muls(two) == muls(one) + 1
+    assert muls(two) == muls(one) == 2  # phi_0^2 and phi_0^3
     cube = parse_poly("1 + 3*x0 + 3*x0^2 + x0^3", 1)
     assert two.pullback(phi) == form_from_text(f"n=1 p=1; [0]: {cube * 11}")
 
@@ -573,3 +575,213 @@ def test_subs_reuses_powers_correctly_past_the_square():
 @given(st.integers(1, 4).flatmap(forms))
 def test_text_round_trip_property(w):
     assert form_from_text(form_to_text(w)) == w
+
+
+# -- the blade/monomial layout, against the dict-of-Poly arithmetic ---------
+#
+# ``RefForm`` is the form arithmetic as it was written before forms became
+# one integer map: index tuples mapped to ``Poly`` coefficients, signs from
+# ``perm_sign`` and ``contract``.  Every operation of ``PolyForm`` must give
+# exactly its coefficients, numerators and denominators alike.
+
+def ref_accumulate(out, key, value):
+    old = out.get(key)
+    out[key] = value if old is None else old + value
+
+
+class RefForm:
+    def __init__(self, n, p, terms, parity):
+        self.n, self.p, self.parity = n, p, parity
+        self.terms = {idx: c for idx, c in terms.items() if not c.is_zero()}
+
+    @staticmethod
+    def of(w):
+        return RefForm(w.ambient_dim, w.degree, dict(w.terms), w.parity)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for idx, c in other.terms.items():
+            ref_accumulate(out, idx, c)
+        return RefForm(self.n, self.p, out, self.parity)
+
+    def scale(self, s):
+        return RefForm(self.n, self.p, {idx: c * s for idx, c in self.terms.items()},
+                       self.parity)
+
+    def wedge(self, other):
+        n, p, parity = self.n, self.p + other.p, self.parity * other.parity
+        if p > n:
+            return RefForm(n, n, {}, parity)
+        out = {}
+        for ia, ca in self.terms.items():
+            for ib, cb in other.terms.items():
+                sign = perm_sign(ia + ib)
+                if sign:
+                    c = ca * cb
+                    ref_accumulate(out, tuple(sorted(ia + ib)), c if sign > 0 else -c)
+        return RefForm(n, p, out, parity)
+
+    def d(self):
+        n = self.n
+        if self.p == n:
+            return RefForm(n, n, {}, self.parity)
+        out = {}
+        for idx, coeff in self.terms.items():
+            for i in range(n):
+                sign = perm_sign((i,) + idx)
+                if sign:
+                    dc = coeff.diff(i)
+                    ref_accumulate(out, tuple(sorted((i,) + idx)), dc if sign > 0 else -dc)
+        return RefForm(n, self.p + 1, out, self.parity)
+
+    def interior(self, V):
+        parity = self.parity * V.parity
+        if self.p == 0:
+            return RefForm(self.n, 0, {}, parity)
+        return RefForm(self.n, self.p - 1, contract(self.terms, V.components), parity)
+
+    def pullback(self, phi):
+        m = phi[0].nvars
+        if self.p > m:
+            return RefForm(m, m, {}, self.parity)
+        dphi = [RefForm(m, 1, {(j,): P.diff(j) for j in range(m)}, Parity.STRAIGHT)
+                for P in phi]
+        total = RefForm(m, self.p, {}, self.parity)
+        for idx, coeff in self.terms.items():
+            term = RefForm(m, 0, {(): coeff.subs(phi)}, self.parity)
+            for i in idx:
+                term = term.wedge(dphi[i])
+            total = total + term
+        return total
+
+    def hodge(self, g):
+        n, ginv = self.n, g.tables.inverse
+        out = {}
+        for idx, coeff in self.terms.items():
+            image = {tuple(range(n)): g.volume_scale()}
+            for i in idx:
+                image = {K: c for K, c in contract(image, ginv[i]).items() if c}
+            for comp, factor in image.items():
+                ref_accumulate(out, comp, coeff * factor)
+        return RefForm(n, n - self.p, out, self.parity.flip())
+
+    def sharp(self, g):
+        ginv = g.tables.inverse
+        co = [self.terms.get((j,), Poly.zero(self.n)).constant_value() for j in range(self.n)]
+        return tuple(sum(ginv[i][j] * co[j] for j in range(self.n)) for i in range(self.n))
+
+    def __str__(self):
+        body = "; ".join(f"[{','.join(str(i) for i in idx)}]: {coeff}"
+                         for idx, coeff in sorted(self.terms.items()))
+        head = f"n={self.n} p={self.p} parity={self.parity}"
+        return head + ("; " + body if body else "")
+
+
+def ref_flat(V, g):
+    n = V.ambient_dim
+    return RefForm(n, 1, {(i,): sum((V.components[j] * g.matrix[i][j] for j in range(n)),
+                                    Poly.zero(n)) for i in range(n)}, V.parity)
+
+
+def assert_is(w, ref):
+    """``w`` has exactly the reference's degree, parity and coefficients,
+    prints as it prints, and equals and hashes like the form the checked
+    constructor builds from those coefficients."""
+    assert (w.ambient_dim, w.degree, w.parity) == (ref.n, ref.p, ref.parity)
+    assert dict(w.terms) == ref.terms  # Poly equality compares numerators and denominator
+    assert str(w) == str(ref)
+    rebuilt = PolyForm(ref.n, ref.p, ref.terms, ref.parity)
+    assert w == rebuilt and hash(w) == hash(rebuilt)
+    assert form_from_text(str(w)) == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_form_operation_equals_the_dict_of_poly_reference(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    a = data.draw(forms(n))
+    b = data.draw(forms(n, a.degree, a.parity))
+    c = data.draw(forms(n))
+    P, r = data.draw(polys(n)), data.draw(fractions | st.sampled_from([0, 1, -1]))
+    V, g = data.draw(fields(n)), data.draw(metrics(n))
+    phi = [data.draw(polys(m)) for _ in range(n)]
+    A, B, C = RefForm.of(a), RefForm.of(b), RefForm.of(c)
+    assert_is(a, A)
+    assert_is(a + b, A + B)
+    assert_is(a - b, A + B.scale(-1))
+    assert_is(-a, A.scale(-1))
+    assert_is(a - a, RefForm(n, a.degree, {}, a.parity))
+    assert_is(a.scale(P), A.scale(P))
+    assert_is(a.scale(r), A.scale(r))
+    assert_is(a.wedge(c), A.wedge(C))
+    assert_is(c.wedge(a), C.wedge(A))
+    assert_is(a.d(), A.d())
+    assert_is(a.d().d(), RefForm(n, min(a.degree + 2, n), {}, a.parity))
+    assert_is(a.interior(V), A.interior(V))
+    assert_is(a.interior(V).interior(V), A.interior(V).interior(V))
+    assert_is(a.pullback(phi), A.pullback(phi))
+    assert_is(a.hodge(g), A.hodge(g))
+    assert_is(V.flat(g), ref_flat(V, g))
+    if all(v.is_constant() for v in V.components):
+        assert V.flat(g).sharp(g) == PolyVectorField.constant(ref_flat(V, g).sharp(g), V.parity)
+    else:
+        with pytest.raises(ValueError, match="constant coefficients"):
+            V.flat(g).sharp(g)
+    # one value built along two paths: equal, with equal hashes
+    assert (a + b).wedge(c) == a.wedge(c) + b.wedge(c)
+    assert hash((a + b).wedge(c)) == hash(a.wedge(c) + b.wedge(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sharp_equals_the_reference_on_constant_one_forms(data):
+    n = data.draw(st.integers(1, 5))
+    values = data.draw(st.lists(fractions | st.just(Fraction(0)), min_size=n, max_size=n))
+    g = data.draw(metrics(n))
+    w = PolyForm(n, 1, {(i,): v for i, v in enumerate(values)},
+                 data.draw(st.sampled_from(list(Parity))))
+    got = w.sharp(g)
+    assert got.components == tuple(Poly.constant(n, x) for x in RefForm.of(w).sharp(g))
+    assert got.parity is w.parity
+
+
+def top_power(n, e):
+    """x_{n-1}^e: its exponent sits in the field just below the blade bits."""
+    return Poly(n, {(0,) * (n - 1) + (e,): 1})
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_exponents_at_the_field_below_the_blade_bits(n):
+    top, x = top_power(n, MAX_EXPONENT), top_power(n, 1)
+    dx0, dx1 = PolyForm.basis(n, (0,)), PolyForm.basis(n, (1,))
+    w = dx0.scale(top)
+    # up to MAX_EXPONENT the blade bits stay as they are
+    half = dx0.scale(top_power(n, 16383)).wedge(dx1.scale(top_power(n, 16384)))
+    assert dict(half.terms) == {(0, 1): top}
+    assert_is(w.wedge(dx1), RefForm.of(w).wedge(RefForm.of(dx1)))
+    assert_is(w.d(), RefForm.of(w).d())
+    assert_is(w.hodge(Metric.minkowski(n)), RefForm.of(w).hodge(Metric.minkowski(n)))
+    one = PolyVectorField.constant([1] * n)
+    assert_is(w.interior(one), RefForm.of(w).interior(one))
+    # one step past it raises, and no result with a flipped blade bit is made
+    for make in (lambda: w.wedge(dx1.scale(x)), lambda: dx1.scale(x).wedge(w),
+                 lambda: w.scale(x),
+                 lambda: w.interior(PolyVectorField(n, (x,) + (Poly.zero(n),) * (n - 1)))):
+        with pytest.raises(ValueError, match=f"exceed {MAX_EXPONENT}"):
+            make()
+
+
+def test_pullback_past_the_field_raises():
+    u = Poly(1, {(MAX_EXPONENT,): 1})
+    # x0 dx0 along u^MAX: the coefficient is u^MAX, d phi = MAX u^(MAX-1) du
+    w = PolyForm.basis(1, (0,)).scale(parse_poly("x0", 1))
+    with pytest.raises(ValueError, match=f"exceed {MAX_EXPONENT}"):
+        w.pullback([u])
+    assert PolyForm.basis(1, (0,)).pullback([u]) == PolyForm(1, 1, {(0,): u.diff(0)})
+
+
+def test_form_terms_view_is_read_only():
+    w = form_from_text("n=3 p=2; [0,1]: 1/2*x0; [1,2]: 3")
+    with pytest.raises(TypeError):
+        w.terms[(0, 2)] = Poly.constant(3, 1)
+    assert w.terms == {(0, 1): parse_poly("1/2*x0", 3), (1, 2): Poly.constant(3, 3)}

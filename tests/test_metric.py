@@ -364,14 +364,14 @@ def test_equal_metrics_share_one_table():
             Metric(((Fraction(1, 2), Fraction(3, 3)), (True, 3)))]
     assert all(k.tables is same[0].tables for k in same)
     assert same[0].tables.matrix == ((Fraction(1, 2), 1), (1, 3))
-    assert g.tables.hodge_image((0, 2)) is h.tables.hodge_image((0, 2))
+    assert g.tables.hodge_image(0b101) is h.tables.hodge_image(0b101)
     assert Metric.euclidean(4).tables is not g.tables
 
 
 def test_diagonal_hodge_images_are_signed_products():
     g = Metric.diag(-1, 4, 1)
-    # *dx1 = sqrt|det g| g^11 sgn(1,0,2) dx0^dx2 = 2 * 1/4 * -1
-    assert g.tables.hodge_image((1,)) == (((0, 2), Fraction(-1, 2)),)
+    # *dx1 = sqrt|det g| g^11 sgn(1,0,2) dx0^dx2 = 2 * 1/4 * -1; blades are bitmasks
+    assert g.tables.hodge_image(0b010) == ((0b101, Fraction(-1, 2)),)
     # <dx0^dx1, dx0^dx1> = g^00 g^11 = -1 * 1/4
     dx01 = {(0, 1): Fraction(1)}
     assert form_inner(dx01, dx01, g) == Fraction(-1, 4)

@@ -105,6 +105,11 @@ def test_pseudo_manifold_check():
                        [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
     assert not cx.is_pseudo_manifold()
     assert not cx.orientable()
+    # a vertex in no triangle: not pure, so no pseudo-manifold, though the
+    # one triangle is oriented and carries a straight fundamental chain
+    lone = build_complex([(0, 0), (1, 0), (0, 1), (5, 5)], [(0, 1, 2)])
+    assert not lone.is_pseudo_manifold()
+    assert lone.orientable() and lone.fundamental_chain(Parity.STRAIGHT).coefficients == {0: 1}
 
 
 def test_loop_chain_is_a_cycle_and_reverses_sign():
